@@ -424,9 +424,7 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child, const AggregatePlan* plan,
       deadline_(deadline),
       aggregator_(plan) {}
 
-Status HashAggregateOp::DrainChild() {
-  if (drained_) return Status::OK();
-  drained_ = true;
+Result<std::vector<Tuple>> HashAggregateOp::Compute() {
   AggMetrics()->queries->Add();
   if (batch_size_ > 0) {
     TupleBatch batch(batch_size_);
@@ -444,23 +442,7 @@ Status HashAggregateOp::DrainChild() {
       JAGUAR_RETURN_IF_ERROR(aggregator_.ConsumeTuple(*t, ctx_));
     }
   }
-  JAGUAR_ASSIGN_OR_RETURN(rows_, aggregator_.Finalize(deadline_));
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> HashAggregateOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  if (emit_pos_ >= rows_.size()) return std::optional<Tuple>();
-  return std::optional<Tuple>(std::move(rows_[emit_pos_++]));
-}
-
-Status HashAggregateOp::NextBatch(TupleBatch* out) {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  out->Clear();
-  while (emit_pos_ < rows_.size() && !out->full()) {
-    out->Add(std::move(rows_[emit_pos_++]));
-  }
-  return Status::OK();
+  return aggregator_.Finalize(deadline_);
 }
 
 }  // namespace exec

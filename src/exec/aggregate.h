@@ -156,18 +156,16 @@ class HashAggregator {
 /// `batch_size` 0 selects the per-tuple scalar pipeline (non-vectorized
 /// engines keep their per-invocation UDF crossing counts); > 0 drains the
 /// child batch-at-a-time.
-class HashAggregateOp : public Operator {
+class HashAggregateOp : public BufferedOp {
  public:
   HashAggregateOp(OperatorPtr child, const AggregatePlan* plan,
                   UdfContext* ctx, size_t batch_size,
                   const QueryDeadline* deadline);
 
-  Result<std::optional<Tuple>> Next() override;
-  Status NextBatch(TupleBatch* out) override;
   const Schema& schema() const override { return plan_->out_schema; }
 
  private:
-  Status DrainChild();
+  Result<std::vector<Tuple>> Compute() override;
 
   OperatorPtr child_;
   const AggregatePlan* plan_;
@@ -175,9 +173,6 @@ class HashAggregateOp : public Operator {
   size_t batch_size_;
   const QueryDeadline* deadline_;
   HashAggregator aggregator_;
-  bool drained_ = false;
-  std::vector<Tuple> rows_;
-  size_t emit_pos_ = 0;
 };
 
 }  // namespace exec

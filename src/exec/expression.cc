@@ -333,24 +333,45 @@ Result<std::vector<Value>> EvalBatch(const BoundExpr& expr,
   return out;
 }
 
-Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
-                                             const std::vector<Tuple>& tuples,
-                                             UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> values,
-                          EvalBatch(expr, tuples, ctx));
-  std::vector<char> passes;
-  passes.reserve(values.size());
-  for (const Value& v : values) {
-    if (v.is_null()) {
-      passes.push_back(0);
-      continue;
+Result<std::vector<Tuple>> ProjectBatch(const std::vector<BoundExprPtr>& exprs,
+                                        const std::vector<Tuple>& tuples,
+                                        UdfContext* ctx) {
+  std::vector<std::vector<Value>> columns;
+  columns.reserve(exprs.size());
+  for (const BoundExprPtr& e : exprs) {
+    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
+                            EvalBatch(*e, tuples, ctx));
+    columns.push_back(std::move(column));
+  }
+  std::vector<Tuple> rows;
+  rows.reserve(tuples.size());
+  for (size_t row = 0; row < tuples.size(); ++row) {
+    std::vector<Value> values;
+    values.reserve(columns.size());
+    for (std::vector<Value>& column : columns) {
+      values.push_back(std::move(column[row]));
     }
-    if (v.type() != TypeId::kBool) {
+    rows.push_back(Tuple(std::move(values)));
+  }
+  return rows;
+}
+
+Status FilterBatch(const BoundExpr& expr, std::vector<Tuple>* tuples,
+                   UdfContext* ctx) {
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> values,
+                          EvalBatch(expr, *tuples, ctx));
+  size_t kept = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i].is_null()) continue;
+    if (values[i].type() != TypeId::kBool) {
       return InvalidArgument("WHERE clause is not a boolean expression");
     }
-    passes.push_back(v.AsBool() ? 1 : 0);
+    if (!values[i].AsBool()) continue;
+    if (kept != i) (*tuples)[kept] = std::move((*tuples)[i]);
+    ++kept;
   }
-  return passes;
+  tuples->resize(kept);
+  return Status::OK();
 }
 
 }  // namespace exec

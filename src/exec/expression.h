@@ -86,10 +86,16 @@ Result<std::vector<Value>> EvalBatch(const BoundExpr& expr,
                                      const std::vector<Tuple>& tuples,
                                      UdfContext* ctx);
 
-/// Batch counterpart of `EvalPredicate`: one pass/fail flag per tuple.
-Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
-                                             const std::vector<Tuple>& tuples,
-                                             UdfContext* ctx);
+/// Evaluates each of `exprs` over the batch (one EvalBatch per expression,
+/// in order) and returns one output row per tuple.
+Result<std::vector<Tuple>> ProjectBatch(const std::vector<BoundExprPtr>& exprs,
+                                        const std::vector<Tuple>& tuples,
+                                        UdfContext* ctx);
+
+/// Batch counterpart of `EvalPredicate`: keeps, in order, only the tuples
+/// of `*tuples` that `expr` holds for.
+Status FilterBatch(const BoundExpr& expr, std::vector<Tuple>* tuples,
+                   UdfContext* ctx);
 
 }  // namespace exec
 }  // namespace jaguar

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -15,34 +16,9 @@ namespace exec {
 
 namespace {
 
-struct ParallelMetrics {
-  obs::Counter* queries;
-  obs::Counter* workers;
-  obs::Counter* morsels;
-  obs::Counter* tuples;
-  obs::Counter* agg_queries;
-  obs::Counter* agg_parallel_queries;
-  obs::Counter* sort_queries;
-  obs::Counter* sort_parallel_queries;
-  obs::Counter* sort_topk_queries;
-};
-
-ParallelMetrics* Metrics() {
-  static ParallelMetrics* m = [] {
-    obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-    return new ParallelMetrics{
-        reg->GetCounter("exec.parallel.queries"),
-        reg->GetCounter("exec.parallel.workers"),
-        reg->GetCounter("exec.parallel.morsels"),
-        reg->GetCounter("exec.parallel.tuples"),
-        reg->GetCounter("exec.agg.queries"),
-        reg->GetCounter("exec.agg.parallel_queries"),
-        reg->GetCounter("exec.sort.queries"),
-        reg->GetCounter("exec.sort.parallel_queries"),
-        reg->GetCounter("exec.sort.topk_queries"),
-    };
-  }();
-  return m;
+/// Bumps a per-query counter (looked up per query, never per tuple).
+void Count(const std::string& name, uint64_t n = 1) {
+  obs::MetricsRegistry::Global()->GetCounter(name)->Add(n);
 }
 
 /// Page-chain split shared by every morsel-driven plan shape.
@@ -53,35 +29,35 @@ struct MorselPlan {
   size_t num_workers = 1;
 };
 
-Result<MorselPlan> PlanMorsels(StorageEngine* engine, PageId first_page,
-                               size_t morsel_pages, size_t num_workers) {
+Result<MorselPlan> PlanMorsels(const MorselScanSpec& spec) {
   MorselPlan plan;
-  plan.morsel_pages = morsel_pages > 0 ? morsel_pages : 1;
-  TableHeap heap(engine, first_page);
+  plan.morsel_pages = spec.morsel_pages > 0 ? spec.morsel_pages : 1;
+  TableHeap heap(spec.engine, spec.first_page);
   JAGUAR_ASSIGN_OR_RETURN(plan.pages, heap.ListPages());
   plan.num_morsels =
       (plan.pages.size() + plan.morsel_pages - 1) / plan.morsel_pages;
   plan.num_workers = std::max<size_t>(
-      1, std::min(num_workers, std::max<size_t>(1, plan.num_morsels)));
+      1, std::min(spec.num_workers, std::max<size_t>(1, plan.num_morsels)));
   return plan;
 }
 
-/// Per-morsel work: `m` is the morsel index, [page_begin, page_end) its
-/// slice of the page chain; `heap` and `ctx` are this worker's private
-/// cursor and UDF context.
-using MorselFn = std::function<Status(size_t m, size_t page_begin,
-                                      size_t page_end, TableHeap* heap,
-                                      UdfContext* ctx)>;
+/// Morsel `m`: pages [page_begin, page_end) of the chain, run with the
+/// worker's private cursor and UDF context.
+struct Morsel {
+  size_t m;
+  size_t page_begin;
+  size_t page_end;
+  TableHeap* heap;
+  UdfContext* ctx;
+};
 
 /// Launches workers pulling morsel indices from an atomic dispenser and
 /// running `fn` on each. First error wins and cancels remaining morsels.
-Status DriveMorsels(StorageEngine* engine, PageId first_page,
-                    const MorselPlan& plan, UdfCallbackHandler* handler,
-                    uint64_t callback_quota, const QueryDeadline* deadline,
-                    const MorselFn& fn) {
-  Metrics()->queries->Add();
-  Metrics()->workers->Add(plan.num_workers);
-  Metrics()->morsels->Add(plan.num_morsels);
+Status DriveMorsels(const MorselScanSpec& spec, const MorselPlan& plan,
+                    const std::function<Status(const Morsel&)>& fn) {
+  Count("exec.parallel.queries");
+  Count("exec.parallel.workers", plan.num_workers);
+  Count("exec.parallel.morsels", plan.num_morsels);
 
   std::atomic<size_t> dispenser{0};
   std::atomic<bool> stop{false};
@@ -91,17 +67,17 @@ Status DriveMorsels(StorageEngine* engine, PageId first_page,
   auto worker = [&] {
     // Per-worker cursor and callback context; everything else the worker
     // touches (buffer pool, runners, metrics) is shared and thread-safe.
-    TableHeap worker_heap(engine, first_page);
-    UdfContext ctx(handler);
-    ctx.set_callback_quota(callback_quota);
-    ctx.set_deadline(deadline);
+    TableHeap worker_heap(spec.engine, spec.first_page);
+    UdfContext ctx(spec.callback_handler);
+    ctx.set_callback_quota(spec.callback_quota);
+    ctx.set_deadline(spec.deadline);
     while (!stop.load(std::memory_order_relaxed)) {
       const size_t m = dispenser.fetch_add(1, std::memory_order_relaxed);
       if (m >= plan.num_morsels) break;
       const size_t page_begin = m * plan.morsel_pages;
       const size_t page_end =
           std::min(plan.pages.size(), page_begin + plan.morsel_pages);
-      Status s = fn(m, page_begin, page_end, &worker_heap, &ctx);
+      Status s = fn(Morsel{m, page_begin, page_end, &worker_heap, &ctx});
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (first_error.ok()) first_error = std::move(s);
@@ -122,53 +98,48 @@ Status DriveMorsels(StorageEngine* engine, PageId first_page,
   return first_error;
 }
 
-/// Scans one morsel batch-at-a-time, applies the predicate (UDFs cross once
-/// per batch) and hands each batch of surviving tuples to `on_batch`.
+/// Scans one morsel a window of `batch_size` records at a time: the prefix
+/// drops records as they are read, the predicate runs on each window's
+/// survivors (UDFs cross once per batch), and `on_batch` gets the rest.
 Status ScanMorselBatches(
-    TableHeap* heap, const std::vector<PageId>& pages, size_t page_begin,
-    size_t page_end, size_t batch_size, const BoundExpr* predicate,
-    UdfContext* ctx, const QueryDeadline* deadline,
+    const MorselScanSpec& spec, const MorselPlan& plan, const Morsel& morsel,
     const std::function<Status(std::vector<Tuple>*)>& on_batch) {
-  const size_t batch_cap = batch_size > 0 ? batch_size : 1;
+  const size_t batch_cap = spec.batch_size > 0 ? spec.batch_size : 1;
   std::vector<Tuple> batch;
   batch.reserve(batch_cap);
+  size_t window = 0;  // records read since the last flush, dropped ones too
   auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
+    if (window == 0) return Status::OK();
+    window = 0;
     // Per-batch cancellation point: an expired deadline stops this worker
     // before the next round of (potentially expensive) UDF evaluation.
-    JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
-    std::vector<Tuple> survivors;
-    if (predicate != nullptr) {
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<char> passes,
-                              EvalPredicateBatch(*predicate, batch, ctx));
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (passes[i]) survivors.push_back(std::move(batch[i]));
-      }
-    } else {
-      survivors = std::move(batch);
+    JAGUAR_RETURN_IF_ERROR(CheckDeadline(spec.deadline));
+    if (spec.predicate != nullptr && !batch.empty()) {
+      JAGUAR_RETURN_IF_ERROR(FilterBatch(*spec.predicate, &batch, morsel.ctx));
     }
+    if (batch.empty()) return Status::OK();
+    Status s = on_batch(&batch);
     batch.clear();
-    if (survivors.empty()) return Status::OK();
-    return on_batch(&survivors);
+    return s;
   };
-  BufferPool* pool = heap->engine()->buffer_pool();
+  BufferPool* pool = spec.engine->buffer_pool();
   const size_t readahead = pool->readahead_depth();
-  for (size_t p = page_begin; p < page_end; ++p) {
+  for (size_t p = morsel.page_begin; p < morsel.page_end; ++p) {
     if (readahead > 0) {
       // The page list is precomputed, so hint the next K pages of this
       // morsel directly instead of walking chain links.
-      const size_t hint_end = std::min(page_end, p + 1 + readahead);
-      if (p + 1 < hint_end) pool->Prefetch(&pages[p + 1], hint_end - p - 1);
-    }
-    TableHeap::Iterator it = heap->ScanPage(pages[p]);
-    while (true) {
-      JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-      if (!rec.has_value()) break;
-      JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-      batch.push_back(std::move(t));
-      if (batch.size() >= batch_cap) {
-        JAGUAR_RETURN_IF_ERROR(flush());
+      const size_t hint_end = std::min(morsel.page_end, p + 1 + readahead);
+      if (p + 1 < hint_end) {
+        pool->Prefetch(&plan.pages[p + 1], hint_end - p - 1);
       }
+    }
+    TableHeap::Iterator it = morsel.heap->ScanPage(plan.pages[p]);
+    std::optional<Tuple> row;
+    while (true) {
+      JAGUAR_ASSIGN_OR_RETURN(auto rec, ScanRecord(&it, spec.prefix, &row));
+      if (rec == nullptr) break;
+      if (row.has_value()) batch.push_back(std::move(*row));
+      if (++window >= batch_cap) JAGUAR_RETURN_IF_ERROR(flush());
     }
   }
   return flush();
@@ -180,50 +151,26 @@ Result<std::vector<Tuple>> RunParallelScan(const ParallelScanSpec& spec) {
   if (spec.engine == nullptr || spec.out_exprs == nullptr) {
     return InvalidArgument("parallel scan spec is missing engine or exprs");
   }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
+  JAGUAR_ASSIGN_OR_RETURN(MorselPlan plan, PlanMorsels(spec));
 
   // One result slot per morsel: merging in morsel index order reproduces
   // the serial scan order exactly, whichever worker ran which morsel.
   std::vector<std::vector<Tuple>> morsel_results(plan.num_morsels);
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        std::vector<Tuple>* out = &morsel_results[m];
-        return ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.predicate, ctx, spec.deadline,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              std::vector<std::vector<Value>> columns;
-              columns.reserve(spec.out_exprs->size());
-              for (const BoundExprPtr& e : *spec.out_exprs) {
-                JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
-                                        EvalBatch(*e, *survivors, ctx));
-                columns.push_back(std::move(column));
-              }
-              for (size_t row = 0; row < survivors->size(); ++row) {
-                std::vector<Value> values;
-                values.reserve(columns.size());
-                for (std::vector<Value>& column : columns) {
-                  values.push_back(std::move(column[row]));
-                }
-                out->push_back(Tuple(std::move(values)));
-              }
-              return Status::OK();
-            });
-      }));
+  JAGUAR_RETURN_IF_ERROR(DriveMorsels(spec, plan, [&](const Morsel& morsel) {
+    std::vector<Tuple>* out = &morsel_results[morsel.m];
+    return ScanMorselBatches(
+        spec, plan, morsel, [&](std::vector<Tuple>* survivors) -> Status {
+          JAGUAR_ASSIGN_OR_RETURN(
+              std::vector<Tuple> rows,
+              ProjectBatch(*spec.out_exprs, *survivors, morsel.ctx));
+          out->insert(out->end(), std::make_move_iterator(rows.begin()),
+                      std::make_move_iterator(rows.end()));
+          return Status::OK();
+        });
+  }));
 
   std::vector<Tuple> rows;
-  size_t total = 0;
-  for (const std::vector<Tuple>& chunk : morsel_results) total += chunk.size();
-  rows.reserve(total);
   for (std::vector<Tuple>& chunk : morsel_results) {
-    if (spec.limit >= 0 && rows.size() >= static_cast<size_t>(spec.limit)) {
-      break;
-    }
     for (Tuple& t : chunk) {
       if (spec.limit >= 0 && rows.size() >= static_cast<size_t>(spec.limit)) {
         break;
@@ -231,7 +178,7 @@ Result<std::vector<Tuple>> RunParallelScan(const ParallelScanSpec& spec) {
       rows.push_back(std::move(t));
     }
   }
-  Metrics()->tuples->Add(rows.size());
+  Count("exec.parallel.tuples", rows.size());
   return rows;
 }
 
@@ -240,31 +187,23 @@ Result<std::vector<Tuple>> RunParallelAggregate(
   if (spec.engine == nullptr || spec.plan == nullptr) {
     return InvalidArgument("parallel aggregate spec is missing engine or plan");
   }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
-  Metrics()->agg_queries->Add();
-  Metrics()->agg_parallel_queries->Add();
+  JAGUAR_ASSIGN_OR_RETURN(MorselPlan plan, PlanMorsels(spec));
+  Count("exec.agg.queries");
+  Count("exec.agg.parallel_queries");
 
   // One partial aggregator per morsel. Merging the partials in morsel
   // index order keeps min/max tie-breaks and float-sum addition order
   // deterministic regardless of worker scheduling.
   std::vector<std::unique_ptr<HashAggregator>> partials(plan.num_morsels);
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        auto partial = std::make_unique<HashAggregator>(spec.plan);
-        JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.predicate, ctx, spec.deadline,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              return partial->ConsumeBatch(*survivors, ctx);
-            }));
-        partials[m] = std::move(partial);
-        return Status::OK();
-      }));
+  JAGUAR_RETURN_IF_ERROR(DriveMorsels(spec, plan, [&](const Morsel& morsel) {
+    auto partial = std::make_unique<HashAggregator>(spec.plan);
+    JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
+        spec, plan, morsel, [&](std::vector<Tuple>* survivors) -> Status {
+          return partial->ConsumeBatch(*survivors, morsel.ctx);
+        }));
+    partials[morsel.m] = std::move(partial);
+    return Status::OK();
+  }));
 
   HashAggregator merged(spec.plan);
   for (std::unique_ptr<HashAggregator>& partial : partials) {
@@ -278,33 +217,25 @@ Result<std::vector<Tuple>> RunParallelSort(const ParallelSortSpec& spec) {
       spec.out_exprs == nullptr) {
     return InvalidArgument("parallel sort spec is missing engine or exprs");
   }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
-  Metrics()->sort_queries->Add();
-  Metrics()->sort_parallel_queries->Add();
-  if (spec.limit >= 0) Metrics()->sort_topk_queries->Add();
+  JAGUAR_ASSIGN_OR_RETURN(MorselPlan plan, PlanMorsels(spec));
+  Count("exec.sort.queries");
+  Count("exec.sort.parallel_queries");
+  if (spec.limit >= 0) Count("exec.sort.topk_queries");
 
   // One sorted run per morsel (run id = morsel index, so tie-breaks match
   // serial scan order); each run is top-k-bounded when LIMIT is set.
   std::vector<std::vector<Sorter::Entry>> runs(plan.num_morsels);
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        Sorter sorter(spec.descending, spec.limit, /*run_id=*/m);
-        JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.predicate, ctx, spec.deadline,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              return SortConsumeBatch(&sorter, *spec.order_key,
-                                      *spec.out_exprs, *survivors, ctx);
-            }));
-        JAGUAR_RETURN_IF_ERROR(sorter.Finish());
-        runs[m] = sorter.TakeEntries();
-        return Status::OK();
-      }));
+  JAGUAR_RETURN_IF_ERROR(DriveMorsels(spec, plan, [&](const Morsel& morsel) {
+    Sorter sorter(spec.descending, spec.limit, /*run_id=*/morsel.m);
+    JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
+        spec, plan, morsel, [&](std::vector<Tuple>* survivors) -> Status {
+          return SortConsumeBatch(&sorter, *spec.order_key, *spec.out_exprs,
+                                  *survivors, morsel.ctx);
+        }));
+    JAGUAR_RETURN_IF_ERROR(sorter.Finish());
+    runs[morsel.m] = sorter.TakeEntries();
+    return Status::OK();
+  }));
 
   return Sorter::MergeRuns(std::move(runs), spec.descending, spec.limit,
                            spec.deadline);

@@ -165,18 +165,10 @@ Status SortConsumeBatch(Sorter* sorter, const BoundExpr& key,
   if (tuples.empty()) return Status::OK();
   JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> keys,
                           EvalBatch(key, tuples, ctx));
-  std::vector<std::vector<Value>> cols;
-  cols.reserve(out_exprs.size());
-  for (const BoundExprPtr& e : out_exprs) {
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> col,
-                            EvalBatch(*e, tuples, ctx));
-    cols.push_back(std::move(col));
-  }
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                          ProjectBatch(out_exprs, tuples, ctx));
   for (size_t row = 0; row < tuples.size(); ++row) {
-    std::vector<Value> out;
-    out.reserve(cols.size());
-    for (std::vector<Value>& col : cols) out.push_back(std::move(col[row]));
-    sorter->Add(std::move(keys[row]), Tuple(std::move(out)));
+    sorter->Add(std::move(keys[row]), std::move(rows[row]));
   }
   return Status::OK();
 }
@@ -230,9 +222,7 @@ SortOp::SortOp(OperatorPtr child, BoundExprPtr order_key,
       deadline_(deadline),
       sorter_(descending, limit) {}
 
-Status SortOp::DrainChild() {
-  if (drained_) return Status::OK();
-  drained_ = true;
+Result<std::vector<Tuple>> SortOp::Compute() {
   SortMetrics()->queries->Add();
   if (limit_ >= 0) SortMetrics()->topk_queries->Add();
   if (batch_size_ > 0) {
@@ -264,23 +254,7 @@ Status SortOp::DrainChild() {
     }
   }
   JAGUAR_RETURN_IF_ERROR(sorter_.Finish());
-  rows_ = sorter_.TakeRows();
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> SortOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  if (emit_pos_ >= rows_.size()) return std::optional<Tuple>();
-  return std::optional<Tuple>(std::move(rows_[emit_pos_++]));
-}
-
-Status SortOp::NextBatch(TupleBatch* out) {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  out->Clear();
-  while (emit_pos_ < rows_.size() && !out->full()) {
-    out->Add(std::move(rows_[emit_pos_++]));
-  }
-  return Status::OK();
+  return sorter_.TakeRows();
 }
 
 }  // namespace exec

@@ -107,19 +107,17 @@ Result<std::vector<Tuple>> SortRows(std::vector<Tuple> rows,
 /// Pull-operator for the serial engine path: drains its child, sorts
 /// (key, projected row) pairs, and emits the projected rows in order.
 /// `batch_size` 0 selects the per-tuple scalar pipeline.
-class SortOp : public Operator {
+class SortOp : public BufferedOp {
  public:
   SortOp(OperatorPtr child, BoundExprPtr order_key,
          std::vector<BoundExprPtr> out_exprs, Schema out_schema,
          bool descending, int64_t limit, UdfContext* ctx, size_t batch_size,
          const QueryDeadline* deadline);
 
-  Result<std::optional<Tuple>> Next() override;
-  Status NextBatch(TupleBatch* out) override;
   const Schema& schema() const override { return schema_; }
 
  private:
-  Status DrainChild();
+  Result<std::vector<Tuple>> Compute() override;
 
   OperatorPtr child_;
   BoundExprPtr order_key_;
@@ -130,9 +128,6 @@ class SortOp : public Operator {
   size_t batch_size_;
   const QueryDeadline* deadline_;
   Sorter sorter_;
-  bool drained_ = false;
-  std::vector<Tuple> rows_;
-  size_t emit_pos_ = 0;
 };
 
 }  // namespace exec

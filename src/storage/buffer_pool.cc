@@ -449,17 +449,21 @@ Status BufferPool::Discard(PageId id) {
 
 void BufferPool::Prefetch(const PageId* ids, size_t count) {
   if (config_.readahead_pages == 0 || count == 0) return;
+  size_t queued = 0;
   {
     std::lock_guard<std::mutex> lk(ra_mutex_);
     for (size_t i = 0; i < count; ++i) {
       if (ids[i] == kInvalidPageId) continue;
       if (ra_queue_.size() >= kReadaheadQueueCap) break;
       ra_queue_.push_back(ids[i]);
+      ++queued;
     }
   }
-  // notify_all: the background writer parks on the same condvar, so a
-  // notify_one could wake it instead of the readahead worker.
-  ra_cv_.notify_all();
+  // A hint that queued nothing (a chain's last page hints kInvalidPageId)
+  // must not wake the worker threads for no work. notify_all: the
+  // background writer parks on the same condvar, so a notify_one could
+  // wake it instead of the readahead worker.
+  if (queued > 0) ra_cv_.notify_all();
 }
 
 void BufferPool::ReadaheadOne(PageId id) {

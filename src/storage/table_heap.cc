@@ -29,6 +29,30 @@ uint64_t LoadU64(const uint8_t* p) {
   std::memcpy(&v, p, 8);
   return v;
 }
+
+/// A slot payload decoded: an inline record, or an overflow record's stub.
+struct SlotRecord {
+  Slice inline_bytes;  ///< Inline records only.
+  bool overflow = false;
+  uint64_t total_len = 0;          ///< Overflow records only.
+  PageId first = kInvalidPageId;  ///< Overflow records only.
+};
+
+Result<SlotRecord> ParseSlot(Slice payload) {
+  if (payload.empty()) return Corruption("empty record payload");
+  SlotRecord rec;
+  if (payload[0] == kInlineTag) {
+    rec.inline_bytes = payload.SubSlice(1, payload.size() - 1);
+    return rec;
+  }
+  if (payload[0] != kOverflowTag || payload.size() != kOverflowStubSize) {
+    return Corruption("bad record tag");
+  }
+  rec.overflow = true;
+  rec.total_len = LoadU64(payload.data() + 1);
+  rec.first = LoadU32(payload.data() + 9);
+  return rec;
+}
 }  // namespace
 
 TableHeap::TableHeap(StorageEngine* engine, PageId first_page)
@@ -106,17 +130,10 @@ Result<std::vector<uint8_t>> TableHeap::Get(RecordId rid) {
                           engine_->buffer_pool()->FetchPage(rid.page_id));
   SlottedPage sp(page.data());
   JAGUAR_ASSIGN_OR_RETURN(Slice payload, sp.Get(rid.slot));
-  if (payload.empty()) return Corruption("empty record payload");
-  if (payload[0] == kInlineTag) {
-    return payload.SubSlice(1, payload.size() - 1).ToVector();
-  }
-  if (payload[0] != kOverflowTag || payload.size() != kOverflowStubSize) {
-    return Corruption("bad record tag");
-  }
-  uint64_t total_len = LoadU64(payload.data() + 1);
-  PageId first = LoadU32(payload.data() + 9);
+  JAGUAR_ASSIGN_OR_RETURN(SlotRecord rec, ParseSlot(payload));
+  if (!rec.overflow) return rec.inline_bytes.ToVector();
   page.Release();  // don't hold the pin while walking the overflow chain
-  return ReadOverflow(total_len, first);
+  return ReadOverflow(rec.total_len, rec.first, {});
 }
 
 Result<PageId> TableHeap::WriteOverflow(Slice payload) {
@@ -161,12 +178,10 @@ Result<PageId> TableHeap::WriteOverflow(Slice payload) {
   return first;
 }
 
-Result<std::vector<uint8_t>> TableHeap::ReadOverflow(uint64_t total_len,
-                                                     PageId first) {
-  std::vector<uint8_t> out;
+Result<std::vector<uint8_t>> TableHeap::ReadOverflow(
+    uint64_t total_len, PageId pid, std::vector<uint8_t> out) {
   out.reserve(total_len);
-  PageId pid = first;
-  while (pid != kInvalidPageId) {
+  while (pid != kInvalidPageId && out.size() <= total_len) {
     JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
                             engine_->buffer_pool()->FetchPage(pid));
     uint32_t chunk = LoadU32(page.data() + 4);
@@ -174,8 +189,8 @@ Result<std::vector<uint8_t>> TableHeap::ReadOverflow(uint64_t total_len,
     out.insert(out.end(), page.data() + kOverflowHeader,
                page.data() + kOverflowHeader + chunk);
     pid = LoadU32(page.data());
-    if (out.size() > total_len) return Corruption("overflow chain too long");
   }
+  if (out.size() > total_len) return Corruption("overflow chain too long");
   if (out.size() != total_len) return Corruption("overflow chain truncated");
   return out;
 }
@@ -249,38 +264,79 @@ Result<uint64_t> TableHeap::CountRecords() {
   uint64_t n = 0;
   Iterator it = Scan();
   while (true) {
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
+    JAGUAR_ASSIGN_OR_RETURN(const Iterator::View* rec, it.NextView());
+    if (rec == nullptr) break;
     ++n;
   }
   return n;
 }
 
-Result<std::optional<std::pair<RecordId, std::vector<uint8_t>>>>
-TableHeap::Iterator::Next() {
+Result<const TableHeap::Iterator::View*> TableHeap::Iterator::NextView() {
+  overflow_page_.Release();
+  BufferPool* pool = heap_->engine_->buffer_pool();
   while (page_ != kInvalidPageId) {
-    JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
-                            heap_->engine_->buffer_pool()->FetchPage(page_));
-    SlottedPage sp(page.data());
-    if (slot_ == 0 && !single_page_) {
+    if (!chain_page_.valid()) {
+      JAGUAR_ASSIGN_OR_RETURN(chain_page_, pool->FetchPage(page_));
       // Entering a fresh chain page: hint the pool about the next one so a
       // sequential scan overlaps its reads with record processing. Morsel
       // scans hint from their precomputed page list instead (parallel.cc).
-      heap_->engine_->buffer_pool()->Prefetch(sp.next_page_id());
+      if (!single_page_) {
+        pool->Prefetch(SlottedPage(chain_page_.data()).next_page_id());
+      }
     }
+    SlottedPage sp(chain_page_.data());
     while (slot_ < sp.num_slots()) {
-      uint16_t s = slot_++;
+      const uint16_t s = slot_++;
       Result<Slice> payload = sp.Get(s);
       if (!payload.ok()) continue;  // tombstone
-      RecordId rid{page_, s};
-      page.Release();
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, heap_->Get(rid));
-      return std::make_optional(std::make_pair(rid, std::move(bytes)));
+      JAGUAR_ASSIGN_OR_RETURN(SlotRecord rec, ParseSlot(*payload));
+      view_.rid = RecordId{page_, s};
+      if (!rec.overflow) {
+        view_.head = rec.inline_bytes;
+        view_.complete = true;
+        return &view_;
+      }
+      // Only the first overflow page is read here; ReadRecord() follows the
+      // rest of the chain if the caller wants the whole record.
+      JAGUAR_ASSIGN_OR_RETURN(overflow_page_, pool->FetchPage(rec.first));
+      const uint32_t chunk = LoadU32(overflow_page_.data() + 4);
+      if (chunk > kOverflowCapacity) {
+        return Corruption("bad overflow chunk size");
+      }
+      view_.head = Slice(overflow_page_.data() + kOverflowHeader, chunk);
+      record_size_ = rec.total_len;
+      rest_ = LoadU32(overflow_page_.data());
+      view_.complete = rest_ == kInvalidPageId && chunk == rec.total_len;
+      return &view_;
     }
     page_ = single_page_ ? kInvalidPageId : sp.next_page_id();
     slot_ = 0;
+    chain_page_.Release();
   }
-  return std::optional<std::pair<RecordId, std::vector<uint8_t>>>();
+  return static_cast<const View*>(nullptr);
+}
+
+Result<std::vector<uint8_t>> TableHeap::Iterator::ReadRecord() {
+  if (view_.complete) return view_.head.ToVector();
+  std::vector<uint8_t> out;
+  out.reserve(record_size_);
+  out.insert(out.end(), view_.head.data(),
+             view_.head.data() + view_.head.size());
+  // The head is copied: unpin its page before walking the rest, so a scan
+  // never holds more than its chain page and one overflow page.
+  view_.head = Slice();
+  overflow_page_.Release();
+  return heap_->ReadOverflow(record_size_, rest_, std::move(out));
+}
+
+Result<std::optional<std::pair<RecordId, std::vector<uint8_t>>>>
+TableHeap::Iterator::Next() {
+  JAGUAR_ASSIGN_OR_RETURN(const View* view, NextView());
+  if (view == nullptr) {
+    return std::optional<std::pair<RecordId, std::vector<uint8_t>>>();
+  }
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadRecord());
+  return std::make_optional(std::make_pair(view->rid, std::move(bytes)));
 }
 
 Result<std::vector<PageId>> TableHeap::ListPages() {

@@ -18,6 +18,7 @@
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/storage_engine.h"
 
@@ -50,10 +51,30 @@ class TableHeap {
   /// Number of live records (scans; test/debug use).
   Result<uint64_t> CountRecords();
 
-  /// Forward scan over live records.
+  /// Forward scan over live records: a cursor that pins each chain page
+  /// once and yields views of the records on it.
   class Iterator {
    public:
-    /// \return The next record, or std::nullopt at end of heap.
+    /// One record as it sits in the buffer pool. `head` stays valid until
+    /// the next call on the iterator, which keeps its pages pinned meanwhile.
+    struct View {
+      RecordId rid;
+      /// Inline record: all of it. Overflow record: its first chunk.
+      Slice head;
+      /// `head` is the whole record (no more overflow pages to read).
+      bool complete = true;
+    };
+
+    /// Advances to the next live record without copying it.
+    /// \return The record's view, or nullptr at end of heap.
+    Result<const View*> NextView();
+
+    /// The whole record NextView() last returned: `head` followed by the
+    /// rest of its overflow chain, read only now. For an overflow record
+    /// this unpins the head's page and clears `head`.
+    Result<std::vector<uint8_t>> ReadRecord();
+
+    /// \return The next record (a copy), or std::nullopt at end of heap.
     Result<std::optional<std::pair<RecordId, std::vector<uint8_t>>>> Next();
 
    private:
@@ -64,6 +85,11 @@ class TableHeap {
     PageId page_;
     uint16_t slot_ = 0;
     bool single_page_;  ///< Stop at the end of `page` (morsel scans).
+    PageGuard chain_page_;     ///< Pinned while its slots are scanned.
+    PageGuard overflow_page_;  ///< First overflow page of the current record.
+    View view_;
+    uint64_t record_size_ = 0;      ///< The current record's full length.
+    PageId rest_ = kInvalidPageId;  ///< Its overflow pages after the first.
   };
 
   Iterator Scan() { return Iterator(this, first_page_); }
@@ -79,7 +105,10 @@ class TableHeap {
   Result<std::vector<PageId>> ListPages();
 
  private:
-  Result<std::vector<uint8_t>> ReadOverflow(uint64_t total_len, PageId first);
+  /// Appends the overflow chain starting at `pid` to `out` and checks that
+  /// the record ends up exactly `total_len` bytes long.
+  Result<std::vector<uint8_t>> ReadOverflow(uint64_t total_len, PageId pid,
+                                            std::vector<uint8_t> out);
   Result<PageId> WriteOverflow(Slice payload);
   Status FreeOverflow(PageId first);
 

@@ -1,5 +1,8 @@
 #include "types/tuple.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/string_util.h"
 
 namespace jaguar {
@@ -10,11 +13,16 @@ void Tuple::WriteTo(BufferWriter* w) const {
 }
 
 Result<Tuple> Tuple::ReadFrom(BufferReader* r) {
-  JAGUAR_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  if (n > 1u << 20) return Corruption("implausible tuple arity");
+  return ReadLeading(r, SIZE_MAX);
+}
+
+Result<Tuple> Tuple::ReadLeading(BufferReader* r, size_t n) {
+  JAGUAR_ASSIGN_OR_RETURN(uint32_t arity, r->ReadU32());
+  if (arity > 1u << 20) return Corruption("implausible tuple arity");
+  n = std::min<size_t>(n, arity);
   std::vector<Value> values;
   values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     JAGUAR_ASSIGN_OR_RETURN(Value v, Value::ReadFrom(r));
     values.push_back(std::move(v));
   }

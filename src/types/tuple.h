@@ -29,6 +29,10 @@ class Tuple {
   /// Serializes all values (self-describing; no schema needed to decode).
   void WriteTo(BufferWriter* w) const;
   static Result<Tuple> ReadFrom(BufferReader* r);
+  /// Decodes only the first `n` values (all of them when the tuple has
+  /// fewer), so `r` may end anywhere after them — a scan reads the leading
+  /// columns of an overflow record from its first chunk this way.
+  static Result<Tuple> ReadLeading(BufferReader* r, size_t n);
 
   /// Convenience: serialize to a fresh byte vector.
   std::vector<uint8_t> Serialize() const;

@@ -828,6 +828,38 @@ TEST(TableHeapTest, PersistsAcrossReopen) {
   EXPECT_EQ(Slice(rec->second).ToString(), "persistent");
 }
 
+TEST(TableHeapTest, CursorViewsMatchGetWithAtMostTwoPins) {
+  TempDb db("heap_cursor");
+  auto engine = StorageEngine::Open(db.path()).value();
+  PageId first = TableHeap::Create(engine.get()).value();
+  TableHeap heap(engine.get(), first);
+  std::vector<RecordId> rids;
+  for (int i = 0; i < 40; ++i) {
+    // Every fourth record spans a three-page overflow chain.
+    std::vector<uint8_t> rec(i % 4 == 0 ? 20000 : 50, static_cast<uint8_t>(i));
+    rids.push_back(heap.Insert(Slice(rec)).value());
+  }
+  BufferPool* pool = engine->buffer_pool();
+  TableHeap::Iterator it = heap.Scan();
+  size_t n = 0;
+  while (true) {
+    const TableHeap::Iterator::View* view = it.NextView().value();
+    if (view == nullptr) break;
+    ASSERT_LT(n, rids.size());
+    EXPECT_TRUE(view->rid == rids[n]);
+    // The chain page and, for an overflow record, its first page only.
+    EXPECT_LE(pool->pinned_frames(), n % 4 == 0 ? 2u : 1u);
+    EXPECT_EQ(view->complete, n % 4 != 0);
+    EXPECT_EQ(view->head.size(), n % 4 == 0 ? kPageLsnOffset - 8 : 50u);
+    std::vector<uint8_t> whole = it.ReadRecord().value();
+    EXPECT_LE(pool->pinned_frames(), 1u);
+    EXPECT_EQ(whole, heap.Get(rids[n]).value());
+    ++n;
+  }
+  EXPECT_EQ(n, rids.size());
+  EXPECT_EQ(pool->pinned_frames(), 0u);  // the finished cursor holds nothing
+}
+
 TEST(TableHeapTest, NoPinsLeakAfterOperations) {
   TempDb db("heap_pins");
   auto engine = StorageEngine::Open(db.path()).value();
