@@ -11,6 +11,7 @@
 //  * For the largest bytearray, JNI is marginally worse than IC++ (cost of
 //    mapping large byte arrays into the VM).
 
+#include <algorithm>
 #include <thread>
 
 #include "bench/harness.h"
@@ -37,9 +38,8 @@ int Run() {
 
   const int repeats = 5;
   PrintSeriesHeader("array bytes", designs);
-  // raw[point][design]: full query time; cost[point][design]: minus the
-  // no-op-scan base (the paper's presentation).
-  std::vector<std::vector<double>> raw(points.size());
+  // cost[point][design]: full query time minus the no-op-scan base (the
+  // paper's presentation).
   std::vector<std::vector<double>> cost(points.size());
   for (size_t p = 0; p < points.size(); ++p) {
     double base =
@@ -52,7 +52,6 @@ int Run() {
             StringPrintf("%s@%lldB", designs[f].c_str(),
                          static_cast<long long>(points[p].size)));
       }
-      raw[p].push_back(t);
       cost[p].push_back(std::max(0.0, t - base));
     }
     PrintSeriesRow(points[p].size, cost[p]);
@@ -153,9 +152,21 @@ int Run() {
                    "100-byte arrays: IC++ still above JNI");
   // Marshalling scales with array size for JNI. Compare the JNI-vs-C++ gap
   // within each relation (same scan both sides, so the base cancels exactly)
-  // rather than across noisy base subtractions.
-  double gap_small = raw[0][2] - raw[0][0];
-  double gap_large = raw[2][2] - raw[2][0];
+  // rather than across noisy base subtractions. Each gap is the median over
+  // interleaved (JNI, C++) pairs: host drift hits both halves of a pair
+  // alike, and the median drops the odd slow run.
+  auto median_gap = [&](const std::string& rel) {
+    const int pairs = 9;
+    std::vector<double> gaps;
+    for (int i = 0; i < pairs; ++i) {
+      const double jni = env->TimeGeneric("g_jni", rel, card, 0, 0, 0, 1);
+      gaps.push_back(jni - env->TimeGeneric("g_cpp", rel, card, 0, 0, 0, 1));
+    }
+    std::nth_element(gaps.begin(), gaps.begin() + pairs / 2, gaps.end());
+    return gaps[pairs / 2];
+  };
+  const double gap_small = median_gap(points[0].rel);
+  const double gap_large = median_gap(points[2].rel);
   ok &= ShapeCheck(gap_large > gap_small,
                    StringPrintf("JNI marshalling cost grows with bytearray "
                                 "size (gap %.1fms at 1B -> %.1fms at 10KB)",

@@ -51,6 +51,7 @@ Status Catalog::Load(PageId root) {
       JAGUAR_ASSIGN_OR_RETURN(info.name, r.ReadString());
       JAGUAR_ASSIGN_OR_RETURN(info.schema, Schema::ReadFrom(&r));
       JAGUAR_ASSIGN_OR_RETURN(info.first_page, r.ReadU32());
+      info.heap = std::make_unique<TableHeap>(engine_, info.first_page);
       tables_[ToLower(info.name)] = std::move(info);
     } else if (tag == kUdfTag) {
       UdfInfo info;
@@ -151,7 +152,8 @@ Status Catalog::CreateTable(const std::string& name, const Schema& schema) {
     return InvalidArgument("table must have at least one column");
   }
   JAGUAR_ASSIGN_OR_RETURN(PageId first, TableHeap::Create(engine_));
-  tables_[key] = TableInfo{name, schema, first};
+  tables_[key] = TableInfo{name, schema, first,
+                           std::make_unique<TableHeap>(engine_, first)};
   return Persist();
 }
 
@@ -175,8 +177,7 @@ Status Catalog::DropTable(const std::string& name) {
       ++iit;
     }
   }
-  TableHeap heap(engine_, it->second.first_page);
-  JAGUAR_RETURN_IF_ERROR(heap.DropAll());
+  JAGUAR_RETURN_IF_ERROR(it->second.heap->DropAll());
   tables_.erase(it);
   return Persist();
 }

@@ -46,6 +46,10 @@ struct TableInfo {
   std::string name;
   Schema schema;
   PageId first_page = kInvalidPageId;
+  /// The table's heap, made at CREATE TABLE or catalog load and dropped with
+  /// the table. Every statement appends through it, so its append hint
+  /// survives from one statement to the next.
+  std::unique_ptr<TableHeap> heap;
 };
 
 /// Catalog entry for one secondary index: a B+-tree over a single column.

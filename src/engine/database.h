@@ -117,7 +117,7 @@ struct DatabaseOptions {
 /// catalog table.
 class LobStore {
  public:
-  LobStore(StorageEngine* engine, Catalog* catalog);
+  explicit LobStore(Catalog* catalog);
 
   /// Loads (or creates) the hidden LOB table and its in-memory index.
   Status Init();
@@ -136,9 +136,8 @@ class LobStore {
   /// Reads the stored (id, data) tuple of an object.
   Result<Tuple> Load(int64_t handle);
 
-  StorageEngine* engine_;
   Catalog* catalog_;
-  PageId heap_root_ = kInvalidPageId;
+  TableHeap* heap_ = nullptr;  ///< The hidden table's heap (catalog-owned).
   std::unordered_map<int64_t, RecordId> index_;
   int64_t next_id_ = 1;
 };

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "udf/generic_udf.h"
 
 namespace jaguar {
@@ -281,6 +282,76 @@ TEST_F(EngineTest, LobStoreAndCallbacks) {
   // New handles don't collide after reopen.
   int64_t h2 = db_->StoreLob({1, 2, 3}).value();
   EXPECT_NE(h2, handle);
+}
+
+TEST_F(EngineTest, StoreLobFetchesStayFlatAsTheStoreGrows) {
+  DatabaseOptions options;
+  options.wal_fsync = false;  // 5,000 commits; durability is not under test
+  db_.reset();
+  db_ = Database::Open(path_, options).value();
+  auto fetches = [] {
+    uint64_t n = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::Global()->Snapshot("storage.bufferpool.")) {
+      if (name == "storage.bufferpool.hits" ||
+          name == "storage.bufferpool.misses") {
+        n += value;
+      }
+    }
+    return n;
+  };
+  const std::vector<uint8_t> lob(64, 7);
+  int stored = 0;
+  auto store_to = [&](int lobs) {
+    for (; stored < lobs; ++stored) ASSERT_TRUE(db_->StoreLob(lob).ok());
+  };
+  auto store_one = [&] {
+    const uint64_t before = fetches();
+    EXPECT_TRUE(db_->StoreLob(lob).ok());
+    ++stored;
+    return fetches() - before;
+  };
+  store_to(1000);
+  const uint64_t at_1k = store_one();
+  store_to(5000);
+  const uint64_t at_5k = store_one();
+  EXPECT_EQ(at_1k, at_5k);
+  EXPECT_LE(at_5k, 3u);
+  EXPECT_EQ(db_->FetchLob(stored, 0, 100).value(), lob);
+}
+
+TEST_F(EngineTest, RecreatedTableOnFreedPagesSeesOnlyItsOwnRows) {
+  MustExecute("CREATE TABLE a (x INT, s STRING)");
+  MustExecute("CREATE TABLE b (x INT, s STRING)");
+  // Interleaved loads spread both chains over many pages.
+  const std::string pad(200, 'p');
+  for (int round = 0; round < 10; ++round) {
+    for (const std::string table : {"a", "b"}) {
+      std::string sql = "INSERT INTO " + table + " VALUES ";
+      for (int i = 0; i < 50; ++i) {
+        sql += (i > 0 ? ", (" : "(") + std::to_string(round * 50 + i) +
+               ", '" + pad + "')";
+      }
+      MustExecute(sql);
+    }
+  }
+  const uint32_t pages = db_->storage()->disk()->num_pages();
+  MustExecute("DROP TABLE a");
+  MustExecute("CREATE TABLE c (x INT, s STRING)");
+  EXPECT_LT(db_->catalog()->GetTable("c").value()->first_page, pages);
+  for (int i = 0; i < 300; ++i) {
+    MustExecute("INSERT INTO c VALUES (" + std::to_string(-1 - i) + ", '" +
+                pad + "')");
+    MustExecute("INSERT INTO b VALUES (" + std::to_string(1000 + i) + ", '" +
+                pad + "')");
+  }
+  QueryResult b = MustExecute("SELECT x FROM b");
+  ASSERT_EQ(b.rows.size(), 800u);
+  for (const Tuple& t : b.rows) EXPECT_GE(t.value(0).AsInt(), 0);
+  QueryResult c = MustExecute("SELECT x FROM c");
+  ASSERT_EQ(c.rows.size(), 300u);
+  for (const Tuple& t : c.rows) EXPECT_LT(t.value(0).AsInt(), 0);
+  EXPECT_EQ(db_->storage()->buffer_pool()->pinned_frames(), 0u);
 }
 
 TEST_F(EngineTest, PrettyPrint) {

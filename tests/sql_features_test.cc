@@ -55,6 +55,12 @@ class SqlFeaturesTest : public ::testing::Test {
     return it != r.metrics_delta.end() ? it->second : uint64_t{0};
   }
 
+  /// Buffer-pool fetches (hits + misses) the statement made.
+  static uint64_t Fetches(const QueryResult& r) {
+    return MetricDelta(r, "storage.bufferpool.hits") +
+           MetricDelta(r, "storage.bufferpool.misses");
+  }
+
   std::string path_;
   std::unique_ptr<Database> db_;
 };
@@ -783,6 +789,74 @@ TEST_F(SqlFeaturesTest, SumOverflowSurfacesAsError) {
                            static_cast<long long>(-2)));
   EXPECT_TRUE(
       db_->Execute("SELECT SUM(v) FROM small").status().IsOutOfRange());
+}
+
+TEST_F(SqlFeaturesTest, SingleRowInsertFetchesStayFlatAsTheTableGrows) {
+  MustExecute("CREATE TABLE t (id INT, s STRING)");
+  int next = 0;
+  auto row = [&] {
+    return "(" + std::to_string(next++) + ", 'row-payload-0123456789')";
+  };
+  auto grow_to = [&](int rows) {
+    while (next < rows) {
+      std::string sql = "INSERT INTO t VALUES " + row();
+      for (int i = 1; i < 1000 && next < rows; ++i) sql += ", " + row();
+      MustExecute(sql);
+    }
+  };
+  grow_to(1000);
+  const uint64_t at_1k = Fetches(MustExecute("INSERT INTO t VALUES " + row()));
+  grow_to(20000);
+  const uint64_t at_20k =
+      Fetches(MustExecute("INSERT INTO t VALUES " + row()));
+  EXPECT_EQ(at_1k, at_20k);
+  EXPECT_LE(at_20k, 3u);
+  EXPECT_EQ(MustExecute("SELECT COUNT(*) FROM t").rows[0].value(0).AsInt(),
+            20001);
+}
+
+TEST_F(SqlFeaturesTest, DeletedSpaceIsRefilledBeforeTheHeapGrows) {
+  MustExecute("CREATE TABLE t (id INT, s STRING)");
+  auto row = [](int i, char fill) {
+    return "(" + std::to_string(i) + ", '" + std::string(100, fill) + "')";
+  };
+  std::string sql = "INSERT INTO t VALUES " + row(0, 'a');
+  for (int i = 1; i < 600; ++i) sql += ", " + row(i, 'a');
+  MustExecute(sql);
+  auto pages = [&] { return db_->storage()->disk()->num_pages(); };
+  const uint32_t loaded = pages();
+
+  auto insert_each = [&](int lo, int hi, char fill) {
+    for (int i = lo; i < hi; ++i) {
+      MustExecute("INSERT INTO t VALUES " + row(i, fill));
+    }
+  };
+
+  MustExecute("DELETE FROM t");
+  insert_each(0, 600, 'b');
+  EXPECT_EQ(pages(), loaded);
+
+  // A later DELETE must not skip the space an earlier one freed further up
+  // the chain.
+  MustExecute("DELETE FROM t WHERE id < 100");
+  MustExecute("DELETE FROM t WHERE id >= 500");
+  insert_each(0, 100, 'c');
+  insert_each(500, 600, 'c');
+  EXPECT_EQ(pages(), loaded);
+
+  // UPDATE's new row versions refill the slots their old versions free.
+  QueryResult upd = MustExecute("UPDATE t SET s = '" + std::string(100, 'd') +
+                                "' WHERE id >= 0");
+  EXPECT_EQ(upd.rows_affected, 600u);
+  EXPECT_EQ(pages(), loaded);
+
+  QueryResult r = MustExecute("SELECT id, s FROM t ORDER BY id");
+  ASSERT_EQ(r.rows.size(), 600u);
+  for (int i = 0; i < 600; ++i) {
+    EXPECT_EQ(r.rows[i].value(0).AsInt(), i);
+    EXPECT_EQ(r.rows[i].value(1).AsString(), std::string(100, 'd'));
+  }
+  EXPECT_EQ(db_->storage()->buffer_pool()->pinned_frames(), 0u);
 }
 
 TEST_F(SqlFeaturesTest, ParserAcceptsNewSyntax) {
