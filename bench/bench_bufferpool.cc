@@ -1,7 +1,7 @@
 // Buffer-pool scalability sweep: hot-cache fetch throughput under 1 vs 4
 // worker threads, with the shard count ablated (1 shard reproduces the old
-// single-latch pool; 0 = auto sharding), plus a cold sequential scan with
-// readahead on/off and a duplicate-read-suppression probe.
+// single-latch pool; 0 = auto sharding), plus a cold sequential scan and a
+// duplicate-read-suppression probe.
 //
 // Runs against a raw DiskManager + BufferPool (no SQL layer) so the numbers
 // isolate the page-cache path: latch acquisition, page-table lookup, clock
@@ -41,7 +41,6 @@ HotResult TimeHotFetches(DiskManager* dm, size_t pages, size_t shards,
   BufferPoolConfig config;
   config.shards = shards;
   config.workers_hint = workers;
-  config.readahead_pages = 0;  // isolate the fetch path
   BufferPool pool(dm, pages, /*wal=*/nullptr, config);
   for (PageId id = 0; id < pages; ++id) {
     auto g = pool.FetchPage(id);
@@ -84,39 +83,20 @@ HotResult TimeHotFetches(DiskManager* dm, size_t pages, size_t shards,
   return r;
 }
 
-struct ScanResult {
-  double seconds = 0;
-  uint64_t readahead_issued = 0;
-  uint64_t readahead_hits = 0;
-};
-
 /// Sequentially fetches all `pages` through a pool far smaller than the
-/// relation, hinting `depth` pages ahead (the TableHeap/morsel scan pattern).
-ScanResult TimeColdScan(DiskManager* dm, size_t pages, size_t depth) {
-  BufferPoolConfig config;
-  config.readahead_pages = depth;
-  BufferPool pool(dm, std::max<size_t>(64, pages / 16), /*wal=*/nullptr,
-                  config);
-  std::vector<PageId> ids(pages);
-  for (size_t i = 0; i < pages; ++i) ids[i] = static_cast<PageId>(i);
-
+/// relation (the TableHeap/morsel scan pattern); returns the seconds taken.
+double TimeColdScan(DiskManager* dm, size_t pages) {
+  BufferPool pool(dm, std::max<size_t>(64, pages / 16));
   Stopwatch clock;
-  for (size_t p = 0; p < pages; ++p) {
-    if (depth > 0 && p + 1 < pages) {
-      pool.Prefetch(&ids[p + 1], std::min(depth, pages - p - 1));
-    }
-    auto g = pool.FetchPage(ids[p]);
+  for (PageId id = 0; id < pages; ++id) {
+    auto g = pool.FetchPage(id);
     if (!g.ok()) {
       std::fprintf(stderr, "scan fetch failed: %s\n",
                    g.status().ToString().c_str());
       std::exit(1);
     }
   }
-  ScanResult r;
-  r.seconds = clock.ElapsedSeconds();
-  r.readahead_issued = pool.readahead_issued();
-  r.readahead_hits = pool.readahead_hits();
-  return r;
+  return clock.ElapsedSeconds();
 }
 
 /// 8 threads barrier-fetch the same uncached page; returns the disk-read
@@ -124,7 +104,6 @@ ScanResult TimeColdScan(DiskManager* dm, size_t pages, size_t depth) {
 uint64_t DuplicateReadProbe(DiskManager* dm, PageId target) {
   BufferPoolConfig config;
   config.workers_hint = 8;
-  config.readahead_pages = 0;
   BufferPool pool(dm, 16, /*wal=*/nullptr, config);
   const uint64_t reads_before = dm->reads();
   std::atomic<size_t> ready{0};
@@ -149,7 +128,7 @@ int Run() {
   const size_t iters = FullScale() ? 2000000 : 200000;
   const unsigned cores = std::thread::hardware_concurrency();
   PrintHeader(
-      "Buffer pool - shard scaling, readahead, miss coalescing",
+      "Buffer pool - shard scaling, cold scan, miss coalescing",
       StringPrintf("%zu pages; hot fetch matrix (1 vs auto shards x 1 vs 4 "
                    "workers, %zu fetches/worker) on %u cores",
                    pages, iters, cores));
@@ -175,15 +154,9 @@ int Run() {
     }
   }
 
-  // Cold sequential scan, readahead off vs on.
-  ScanResult no_ra = TimeColdScan(&dm, pages, 0);
-  ScanResult ra = TimeColdScan(&dm, pages, 8);
-  std::printf("\ncold scan of %zu pages through a %zu-frame pool:\n", pages,
-              std::max<size_t>(64, pages / 16));
-  std::printf("  readahead off  %10.6f s\n", no_ra.seconds);
-  std::printf("  readahead 8    %10.6f s  (issued %llu, hits %llu)\n",
-              ra.seconds, static_cast<unsigned long long>(ra.readahead_issued),
-              static_cast<unsigned long long>(ra.readahead_hits));
+  const double cold_scan_seconds = TimeColdScan(&dm, pages);
+  std::printf("\ncold scan of %zu pages through a %zu-frame pool: %.6f s\n",
+              pages, std::max<size_t>(64, pages / 16), cold_scan_seconds);
 
   const uint64_t dup_reads = DuplicateReadProbe(&dm, pages / 2);
   std::printf("\n8-thread concurrent miss of one page: %llu disk read(s)\n",
@@ -202,15 +175,8 @@ int Run() {
                    hot[i].shards, hot[i].workers, hot[i].seconds,
                    hot[i].fetches_per_sec, i + 1 < hot.size() ? "," : "");
     }
-    std::fprintf(json,
-                 "  },\n  \"cold_scan\": {\n"
-                 "    \"readahead_off_seconds\": %.6f,\n"
-                 "    \"readahead_on_seconds\": %.6f,\n"
-                 "    \"readahead_issued\": %llu,\n"
-                 "    \"readahead_hits\": %llu\n  },\n",
-                 no_ra.seconds, ra.seconds,
-                 static_cast<unsigned long long>(ra.readahead_issued),
-                 static_cast<unsigned long long>(ra.readahead_hits));
+    std::fprintf(json, "  },\n  \"cold_scan\": {\"seconds\": %.6f},\n",
+                 cold_scan_seconds);
     std::fprintf(json, "  \"duplicate_read_suppression\": %llu\n}\n",
                  static_cast<unsigned long long>(dup_reads));
     std::fclose(json);
@@ -221,8 +187,6 @@ int Run() {
   bool ok = true;
   ok &= ShapeCheck(dup_reads == 1,
                    "concurrent misses of one page issue exactly one read");
-  ok &= ShapeCheck(ra.readahead_issued > 0 && ra.readahead_hits > 0,
-                   "readahead issues prefetches that later fetches hit");
   // hot[1] = 1 shard / 4 workers, hot[3] = auto shards / 4 workers.
   const double speedup =
       hot[3].seconds > 0 ? hot[1].seconds / hot[3].seconds : 0;

@@ -112,18 +112,11 @@ int Run() {
   std::printf("\nBatched + %zu workers (executor pool, host has %u cores):\n",
               workers, cores);
   PrintSeriesHeader("array bytes", {"IC++", "IJNI"});
-  // [point][0]=IC++, [1]=IJNI: batched 1-worker vs batched 4-worker times.
-  std::vector<std::vector<double>> pool_serial(points.size());
-  std::vector<std::vector<double>> pool_parallel(points.size());
   for (size_t p = 0; p < points.size(); ++p) {
     std::vector<double> row;
     for (const char* fn : {"g_icpp", "g_ijni"}) {
-      pool_serial[p].push_back(
-          batched_env->TimeGeneric(fn, points[p].rel, card, 0, 0, 0, repeats));
-      pool_parallel[p].push_back(
-          parallel_env->TimeGeneric(fn, points[p].rel, card, 0, 0, 0,
-                                    repeats));
-      row.push_back(pool_parallel[p].back());
+      row.push_back(parallel_env->TimeGeneric(fn, points[p].rel, card, 0, 0, 0,
+                                              repeats));
     }
     PrintSeriesRow(points[p].size, row);
   }
@@ -150,20 +143,24 @@ int Run() {
                    "more than JNI (language boundary)");
   ok &= ShapeCheck(cost[1][1] > cost[1][2],
                    "100-byte arrays: IC++ still above JNI");
+  // The timing checks below compare medians over interleaved pairs of
+  // single runs: host drift hits both halves of a pair alike, and the
+  // median drops the odd slow run.
+  const int pairs = 9;
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
   // Marshalling scales with array size for JNI. Compare the JNI-vs-C++ gap
   // within each relation (same scan both sides, so the base cancels exactly)
-  // rather than across noisy base subtractions. Each gap is the median over
-  // interleaved (JNI, C++) pairs: host drift hits both halves of a pair
-  // alike, and the median drops the odd slow run.
+  // rather than across noisy base subtractions.
   auto median_gap = [&](const std::string& rel) {
-    const int pairs = 9;
     std::vector<double> gaps;
     for (int i = 0; i < pairs; ++i) {
       const double jni = env->TimeGeneric("g_jni", rel, card, 0, 0, 0, 1);
       gaps.push_back(jni - env->TimeGeneric("g_cpp", rel, card, 0, 0, 0, 1));
     }
-    std::nth_element(gaps.begin(), gaps.begin() + pairs / 2, gaps.end());
-    return gaps[pairs / 2];
+    return median(gaps);
   };
   const double gap_small = median_gap(points[0].rel);
   const double gap_large = median_gap(points[2].rel);
@@ -175,19 +172,28 @@ int Run() {
                    "10,000 JNI invocations cost only marginal absolute time");
   // Scaling shape: with an executor pool, 4 workers must at least double the
   // batched throughput of the isolated designs on the largest arrays (where
-  // there is real serialization + crossing work to spread). Unachievable on
-  // small hosts, so skipped there.
+  // there is real serialization + crossing work to spread), comparing the
+  // median 1-worker and 4-worker times over interleaved pairs. Unachievable
+  // on small hosts, so skipped there.
   if (cores >= workers) {
-    ok &= ShapeCheck(
-        pool_serial[2][0] >= 2.0 * pool_parallel[2][0],
-        StringPrintf("IC++ batched, 4 workers >= 2x 1 worker (%.1fms -> "
-                     "%.1fms)",
-                     pool_serial[2][0] * 1e3, pool_parallel[2][0] * 1e3));
-    ok &= ShapeCheck(
-        pool_serial[2][1] >= 2.0 * pool_parallel[2][1],
-        StringPrintf("IJNI batched, 4 workers >= 2x 1 worker (%.1fms -> "
-                     "%.1fms)",
-                     pool_serial[2][1] * 1e3, pool_parallel[2][1] * 1e3));
+    for (const auto& [fn, design] :
+         {std::pair<const char*, const char*>{"g_icpp", "IC++"},
+          {"g_ijni", "IJNI"}}) {
+      std::vector<double> serial, parallel;
+      for (int i = 0; i < pairs; ++i) {
+        serial.push_back(
+            batched_env->TimeGeneric(fn, points[2].rel, card, 0, 0, 0, 1));
+        parallel.push_back(
+            parallel_env->TimeGeneric(fn, points[2].rel, card, 0, 0, 0, 1));
+      }
+      const double t1 = median(serial);
+      const double t4 = median(parallel);
+      ok &= ShapeCheck(
+          t1 >= 2.0 * t4,
+          StringPrintf("%s batched, 4 workers >= 2x 1 worker (median "
+                       "%.1fms -> %.1fms, %.2fx)",
+                       design, t1 * 1e3, t4 * 1e3, t4 > 0 ? t1 / t4 : 0));
+    }
   } else {
     std::printf("  [SKIP] pool scaling checks need >= %zu cores (host has "
                 "%u)\n",

@@ -23,6 +23,8 @@ namespace jaguar {
 namespace {
 /// Hidden catalog table backing the LOB store.
 constexpr char kLobTableName[] = "__lobs";
+/// Shared-memory capacity per direction for isolated (IC++/IJNI) executors.
+constexpr size_t kIsolatedShmBytes = 1 << 20;
 
 obs::Counter* DeadlineQueries() {
   static obs::Counter* counter =
@@ -166,11 +168,9 @@ Result<std::unique_ptr<Database>> Database::Open(
   wal_options.enabled = options.wal_enabled;
   wal_options.fsync_on_commit = options.wal_fsync;
   wal_options.checkpoint_bytes = options.wal_checkpoint_bytes;
+  // Shard count is automatic: scaled from the worker count.
   BufferPoolConfig pool_config;
-  pool_config.shards = options.buffer_pool_shards;
   pool_config.workers_hint = std::max<size_t>(1, options.num_workers);
-  pool_config.readahead_pages = options.readahead_pages;
-  pool_config.bg_writer = options.bg_writer;
   JAGUAR_ASSIGN_OR_RETURN(
       db->storage_,
       StorageEngine::Open(path, options.buffer_pool_pages, wal_options,
@@ -200,14 +200,13 @@ Result<std::unique_ptr<Database>> Database::Open(
                           ipc::ParseTransport(options.ipc_transport));
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kNativeIsolated,
-      MakeIsolatedRunnerFactory(options.isolated_shm_bytes, pool_size,
-                                transport));
+      MakeIsolatedRunnerFactory(kIsolatedShmBytes, pool_size, transport));
   db->udf_manager_->SetRunnerFactory(UdfLanguage::kNativeSfi,
                                      MakeSfiRunnerFactory());
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kJJavaIsolated,
-      MakeIsolatedJvmRunnerFactory(limits, options.isolated_shm_bytes,
-                                   pool_size, transport));
+      MakeIsolatedJvmRunnerFactory(limits, kIsolatedShmBytes, pool_size,
+                                   transport));
 
   db->lobs_ = std::make_unique<LobStore>(db->catalog_.get());
   JAGUAR_RETURN_IF_ERROR(db->lobs_->Init());

@@ -54,8 +54,6 @@ struct DatabaseOptions {
   int64_t udf_instruction_budget = 0;
   /// JagVM per-invocation heap quota in bytes (0 = unlimited).
   size_t udf_heap_quota_bytes = 0;
-  /// Shared-memory capacity per direction for Design-2 executors.
-  size_t isolated_shm_bytes = 1 << 20;
   /// IPC transport for isolated executor channels: "ring" (zero-copy SPSC
   /// ring buffer, zero syscalls on the uncontended path) or "message" (the
   /// copying semaphore-per-message channel). Any other value fails Open with
@@ -98,18 +96,6 @@ struct DatabaseOptions {
   /// Auto-checkpoint (flush + log truncation) once the log exceeds this many
   /// bytes.
   uint64_t wal_checkpoint_bytes = 8ull << 20;
-  /// Buffer pool shard count (rounded up to a power of two). 0 = auto:
-  /// scaled from `num_workers`, capped at 16. 1 reproduces the old
-  /// single-latch pool (used by the bench ablation).
-  size_t buffer_pool_shards = 0;
-  /// Sequential-scan readahead depth in pages (0 = off): scans hint the
-  /// pool, a background worker prefetches, and prefetched pages enter the
-  /// replacement clock cold so one big scan cannot evict the working set.
-  size_t readahead_pages = 8;
-  /// Background writer thread: trickles dirty unpinned pages to disk
-  /// (honoring the WAL rule) so foreground fetches rarely pay a
-  /// write+fsync at eviction time.
-  bool bg_writer = false;
 };
 
 /// Server-side large-object store: the target of UDF handle callbacks

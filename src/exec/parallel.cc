@@ -122,17 +122,7 @@ Status ScanMorselBatches(
     batch.clear();
     return s;
   };
-  BufferPool* pool = spec.engine->buffer_pool();
-  const size_t readahead = pool->readahead_depth();
   for (size_t p = morsel.page_begin; p < morsel.page_end; ++p) {
-    if (readahead > 0) {
-      // The page list is precomputed, so hint the next K pages of this
-      // morsel directly instead of walking chain links.
-      const size_t hint_end = std::min(morsel.page_end, p + 1 + readahead);
-      if (p + 1 < hint_end) {
-        pool->Prefetch(&plan.pages[p + 1], hint_end - p - 1);
-      }
-    }
     TableHeap::Iterator it = morsel.heap->ScanPage(plan.pages[p]);
     std::optional<Tuple> row;
     while (true) {

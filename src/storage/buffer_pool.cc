@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -24,10 +23,6 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-/// Readahead hint queue cap: beyond this, hints are dropped rather than
-/// letting a huge scan queue prefetches it will outrun anyway.
-constexpr size_t kReadaheadQueueCap = 256;
-
 }  // namespace
 
 void PageGuard::MarkDirty() {
@@ -44,7 +39,7 @@ void PageGuard::Release() {
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity,
                        wal::LogManager* wal, const BufferPoolConfig& config)
-    : disk_(disk), wal_(wal), capacity_(capacity), config_(config) {
+    : disk_(disk), wal_(wal), capacity_(capacity) {
   JAGUAR_CHECK(capacity > 0);
   size_t want = config.shards != 0
                     ? config.shards
@@ -63,23 +58,9 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
     frames_[i].data = std::make_unique<uint8_t[]>(kPageSize);
     free_frames_.push_back(capacity - 1 - i);
   }
-
-  if (config_.readahead_pages > 0) {
-    ra_thread_ = std::thread([this] { ReadaheadLoop(); });
-  }
-  if (config_.bg_writer) {
-    bg_thread_ = std::thread([this] { BgWriterLoop(); });
-  }
 }
 
 BufferPool::~BufferPool() {
-  {
-    std::lock_guard<std::mutex> lk(ra_mutex_);
-    stop_threads_ = true;
-  }
-  ra_cv_.notify_all();
-  if (ra_thread_.joinable()) ra_thread_.join();
-  if (bg_thread_.joinable()) bg_thread_.join();
   Status s = FlushAll();
   if (!s.ok()) {
     JAGUAR_LOG(kWarning) << "buffer pool shutdown flush failed, dirty pages "
@@ -254,12 +235,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* hits = PoolCounter("hits");
       hits->Add();
-      if (f.prefetched) {
-        f.prefetched = false;
-        readahead_hits_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter* ra_hits = PoolCounter("readahead.hits");
-        ra_hits->Add();
-      }
       f.ref = true;
       if (f.pin_count.load(std::memory_order_relaxed) == 0) {
         f.clock_epoch.fetch_add(1, std::memory_order_relaxed);  // leaving the replacement pool while pinned
@@ -304,7 +279,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
   f.id = id;
   f.dirty = false;
   f.ref = true;
-  f.prefetched = false;
   f.state = FrameState::kIdle;
   f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
   f.pin_count.store(1, std::memory_order_relaxed);
@@ -325,7 +299,6 @@ Result<PageGuard> BufferPool::NewPage() {
   f.id = id;
   f.dirty = true;
   f.ref = true;
-  f.prefetched = false;
   f.state = FrameState::kIdle;
   f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
   f.pin_count.store(1, std::memory_order_relaxed);
@@ -351,19 +324,15 @@ void BufferPool::MarkFrameDirty(size_t frame, PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  // Excluding background-writer rounds (which run entirely inside bg_mutex_)
-  // means no frame is kWriting while we scan, and draining inflight_writes
-  // means every eviction write-back that started before this flush has
-  // landed. Together that makes the post-flush data file complete, which is
-  // what lets checkpoints truncate the log safely.
+  // Draining inflight_writes means every eviction write-back that started
+  // before this flush has landed, so the post-flush data file is complete,
+  // which is what lets checkpoints truncate the log safely.
   //
-  // Like the background writer, the WAL fsync + page write run OFF the shard
-  // latch: the scan marks dirty frames kWriting (pinned ones too — FlushAll
-  // writes them, it just keeps fetch hits out while the image is under the
-  // disk write), then the latch is dropped for the actual I/O so fetches,
-  // unpins and guard releases on the shard are not stalled behind a
-  // page-by-page fsync scan.
-  std::lock_guard<std::mutex> bg(bg_mutex_);
+  // The WAL fsync + page write run OFF the shard latch: the scan marks dirty
+  // frames kWriting (pinned ones too — FlushAll writes them, it just keeps
+  // fetch hits out while the image is under the disk write), then the latch
+  // is dropped for the actual I/O so fetches, unpins and guard releases on
+  // the shard are not stalled behind a page-by-page fsync scan.
   Status result = Status::OK();
   std::vector<size_t> batch;
   for (size_t i = 0; i < shards_count_ && result.ok(); ++i) {
@@ -407,17 +376,6 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::Discard(PageId id) {
-  if (config_.readahead_pages > 0) {
-    // Purge queued readahead hints for this page and drain an in-flight
-    // prefetch of it: a stale hint processed after we return would reload
-    // the old on-disk image of a page whose newer dirty copy this discard
-    // deliberately dropped. Done before taking the shard latch — the worker
-    // needs that latch to finish the prefetch we may be waiting out.
-    std::unique_lock<std::mutex> rlk(ra_mutex_);
-    ra_queue_.erase(std::remove(ra_queue_.begin(), ra_queue_.end(), id),
-                    ra_queue_.end());
-    ra_cv_.wait(rlk, [this, id] { return ra_active_ != id; });
-  }
   Shard& s = ShardOf(id);
   auto lk = LockShard(s);
   for (;;) {
@@ -439,154 +397,11 @@ Status BufferPool::Discard(PageId id) {
     f.clock_epoch.fetch_add(1, std::memory_order_relaxed);  // invalidate ring entries
     f.id = kInvalidPageId;
     f.dirty = false;
-    f.prefetched = false;
     s.table.erase(it);
     lk.unlock();
     ReturnFreeFrame(fidx);
     return Status::OK();
   }
-}
-
-void BufferPool::Prefetch(const PageId* ids, size_t count) {
-  if (config_.readahead_pages == 0 || count == 0) return;
-  size_t queued = 0;
-  {
-    std::lock_guard<std::mutex> lk(ra_mutex_);
-    for (size_t i = 0; i < count; ++i) {
-      if (ids[i] == kInvalidPageId) continue;
-      if (ra_queue_.size() >= kReadaheadQueueCap) break;
-      ra_queue_.push_back(ids[i]);
-      ++queued;
-    }
-  }
-  // A hint that queued nothing (a chain's last page hints kInvalidPageId)
-  // must not wake the worker threads for no work. notify_all: the
-  // background writer parks on the same condvar, so a notify_one could
-  // wake it instead of the readahead worker.
-  if (queued > 0) ra_cv_.notify_all();
-}
-
-void BufferPool::ReadaheadOne(PageId id) {
-  Shard& s = ShardOf(id);
-  {
-    auto lk = LockShard(s);
-    // Already resident or someone is loading it: the hint did its job.
-    if (s.table.count(id) != 0 || s.io.count(id) != 0) return;
-    s.io.insert(id);
-  }
-  Result<size_t> fr = AcquireFrame(&s);
-  Status rs = fr.ok() ? disk_->ReadPage(id, frames_[*fr].data.get())
-                      : fr.status();
-  auto lk = LockShard(s);
-  s.io.erase(id);
-  if (!rs.ok()) {
-    // Best-effort: drop the hint. The foreground fetch will redo the read
-    // (and surface the error if it is real).
-    s.cv.notify_all();
-    lk.unlock();
-    if (fr.ok()) ReturnFreeFrame(*fr);
-    return;
-  }
-  Frame& f = frames_[*fr];
-  f.id = id;
-  f.dirty = false;
-  f.ref = false;  // cold: one big scan cannot wipe the warm working set
-  f.prefetched = true;
-  f.state = FrameState::kIdle;
-  f.pin_count.store(0, std::memory_order_relaxed);
-  s.table[id] = *fr;
-  ClockPush(s, *fr);
-  readahead_issued_.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter* issued = PoolCounter("readahead.issued");
-  issued->Add();
-  s.cv.notify_all();
-}
-
-void BufferPool::ReadaheadLoop() {
-  for (;;) {
-    PageId id;
-    {
-      std::unique_lock<std::mutex> lk(ra_mutex_);
-      ra_cv_.wait(lk, [this] { return stop_threads_ || !ra_queue_.empty(); });
-      if (stop_threads_) return;  // pending hints are only hints; drop them
-      id = ra_queue_.front();
-      ra_queue_.pop_front();
-      // Claimed under ra_mutex_ so Discard can always see a hint for its
-      // page: either still queued (purged there) or active (drained here).
-      ra_active_ = id;
-    }
-    ReadaheadOne(id);
-    {
-      std::lock_guard<std::mutex> lk(ra_mutex_);
-      ra_active_ = kInvalidPageId;
-    }
-    ra_cv_.notify_all();
-  }
-}
-
-void BufferPool::BgWriterLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(ra_mutex_);
-      ra_cv_.wait_for(lk,
-                      std::chrono::milliseconds(config_.bg_writer_interval_ms),
-                      [this] { return stop_threads_; });
-      if (stop_threads_) return;
-    }
-    BgWriterRound();
-  }
-}
-
-size_t BufferPool::BgWriterRound() {
-  // The whole round runs inside bg_mutex_ so FlushAll (checkpoints) never
-  // overlaps a half-finished background write.
-  std::lock_guard<std::mutex> bg(bg_mutex_);
-  size_t flushed = 0;
-  std::vector<size_t> batch;
-  for (size_t i = 0; i < shards_count_; ++i) {
-    Shard& s = shards_[i];
-    batch.clear();
-    {
-      auto lk = LockShard(s);
-      for (const auto& [id, fidx] : s.table) {
-        if (batch.size() >= config_.bg_writer_batch) break;
-        Frame& f = frames_[fidx];
-        if (f.dirty && f.state == FrameState::kIdle &&
-            f.pin_count.load(std::memory_order_relaxed) == 0) {
-          // kWriting keeps fetchers (and thus mutators) out until the disk
-          // write completes; the epoch bump keeps eviction away.
-          f.state = FrameState::kWriting;
-          f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
-          s.io.insert(id);
-          batch.push_back(fidx);
-        }
-      }
-    }
-    for (size_t fidx : batch) {
-      Frame& f = frames_[fidx];
-      Status ws = WriteBackFrame(f);  // WAL rule first, then the page write
-      auto lk = LockShard(s);
-      f.state = FrameState::kIdle;
-      s.io.erase(f.id);
-      if (ws.ok()) {
-        // Safe to clear here: the frame was unpinned when marked kWriting
-        // and fetch hits wait on kWriting, so no holder could MarkDirty.
-        f.dirty = false;
-        ++flushed;
-        bgwriter_flushes_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter* flushes = PoolCounter("bgwriter.flushes");
-        flushes->Add();
-      } else {
-        JAGUAR_LOG(kWarning) << "background write-back of page " << f.id
-                             << " failed: " << ws.ToString();
-      }
-      // Back into the replacement pool (its ring entries were invalidated
-      // when it was marked kWriting).
-      ClockPush(s, fidx);
-      s.cv.notify_all();
-    }
-  }
-  return flushed;
 }
 
 size_t BufferPool::clock_entries() const {

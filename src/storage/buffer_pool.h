@@ -3,12 +3,12 @@
 
 /// \file buffer_pool.h
 /// A sharded, I/O-decoupled page cache with clock-sweep (second-chance)
-/// replacement, sequential-scan readahead and an optional background writer.
+/// replacement. It starts no threads: every read and write-back runs on the
+/// thread that needs it.
 ///
 /// Callers obtain pages through RAII `PageGuard`s: a guard pins its frame for
 /// its lifetime, so forgetting to unpin is impossible by construction. Dirty
-/// pages are written back on eviction, by the background writer, and on
-/// `FlushAll`.
+/// pages are written back on eviction and on `FlushAll`.
 ///
 /// Layout: pages are partitioned across `N` shards by
 /// `page_id & (N - 1)` (N is a power of two, by default
@@ -32,18 +32,13 @@
 ///    re-linked into its shard (page table + clock) so the dirty image is
 ///    never stranded in an unreachable frame.
 ///
-/// Replacement is clock-sweep with a second-chance `ref` bit. Pages loaded
-/// by the readahead worker enter the clock *cold* (`ref = 0`) and unpinned,
-/// so one large scan streams through a small fraction of the pool instead of
-/// wiping the working set; the first real fetch of a prefetched page counts
-/// as `storage.bufferpool.readahead.hits` and promotes it to warm.
+/// Replacement is clock-sweep with a second-chance `ref` bit. Every fetched
+/// page enters the clock warm, so a scan larger than the pool cycles the
+/// whole pool (no scan resistance; DESIGN.md §10 records why).
 ///
-/// The optional background writer (`BufferPoolConfig::bg_writer`) trickles
-/// dirty unpinned frames to disk ahead of eviction so foreground fetches
-/// rarely pay a write+fsync. It obeys the WAL rule (log durable up to the
-/// page's LSN before the image reaches the data file) exactly like the
-/// eviction path, and `FlushAll` excludes concurrent writer rounds and
-/// drains in-flight write-backs before returning, which keeps checkpoint log
+/// Every write-back obeys the WAL rule (log durable up to the page's LSN
+/// before the image reaches the data file). `FlushAll` drains in-flight
+/// eviction write-backs before returning, which keeps checkpoint log
 /// truncation safe.
 ///
 /// Thread safety: every public entry point is safe for concurrent use. Page
@@ -56,7 +51,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,16 +72,6 @@ struct BufferPoolConfig {
   /// Expected number of concurrent fetching threads; drives the auto shard
   /// count.
   size_t workers_hint = 1;
-  /// Pages the readahead worker keeps in flight ahead of a sequential scan.
-  /// 0 disables readahead (no worker thread is started).
-  size_t readahead_pages = 8;
-  /// Start a background writer thread that trickles dirty unpinned frames
-  /// to disk ahead of eviction.
-  bool bg_writer = false;
-  /// Background writer round interval.
-  int bg_writer_interval_ms = 20;
-  /// Max frames the background writer flushes per shard per round.
-  size_t bg_writer_batch = 8;
 };
 
 /// Pins one page frame for the guard's lifetime. Movable, not copyable.
@@ -137,9 +121,8 @@ class BufferPool {
   /// \param disk backing store (must outlive the pool).
   /// \param capacity number of frames.
   /// \param wal when non-null, the pool enforces the WAL rule: before a
-  ///        dirty page is written back (eviction, background writer or
-  ///        FlushAll), the log is made durable up to that page's footer LSN.
-  ///        Must outlive the pool.
+  ///        dirty page is written back (eviction or FlushAll), the log is
+  ///        made durable up to that page's footer LSN. Must outlive the pool.
   BufferPool(DiskManager* disk, size_t capacity,
              wal::LogManager* wal = nullptr,
              const BufferPoolConfig& config = BufferPoolConfig());
@@ -155,21 +138,16 @@ class BufferPool {
   /// Allocates a fresh page on disk and pins it (contents zeroed).
   Result<PageGuard> NewPage();
 
-  /// Hints that `ids[0..count)` will be fetched soon (sequential-scan
-  /// readahead). Best-effort: already-cached pages, a full queue or a
-  /// disabled readahead worker silently drop the hint. Prefetched pages
-  /// enter the clock unpinned at cold priority.
-  void Prefetch(const PageId* ids, size_t count);
-  void Prefetch(PageId id) { Prefetch(&id, 1); }
-
   /// Writes back all dirty pages (pinned ones included), drains in-flight
   /// write-backs, and syncs. On return every prior mutation is in the data
   /// file, which is what makes WAL truncation after a checkpoint safe.
-  /// The writes run off the shard latches (frames are marked kWriting like
-  /// the background writer's), so concurrent fetches of other pages are not
-  /// stalled behind the flush scan. Pinned pages must not be concurrently
-  /// mutated while a flush is in flight — checkpoints run from the write
-  /// path's thread, which guarantees that today.
+  /// The writes run off the shard latches (frames are marked kWriting), so
+  /// concurrent fetches of other pages are not stalled behind the flush
+  /// scan. Pinned pages must not be concurrently mutated while a flush is in
+  /// flight, and only one FlushAll may run at a time (a second one would
+  /// skip frames the first has marked kWriting and could sync before their
+  /// writes land) — checkpoints run from the write path's thread, which
+  /// guarantees both today.
   Status FlushAll();
 
   /// Drops page `id` from the cache without writing it back. The page must
@@ -178,8 +156,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_count_; }
-  /// Readahead depth (0 = disabled); scan code sizes its hints with this.
-  size_t readahead_depth() const { return config_.readahead_pages; }
 
   // Relaxed-atomic statistics: reading them never touches a shard latch.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -196,15 +172,6 @@ class BufferPool {
   uint64_t shard_conflicts() const {
     return shard_conflicts_.load(std::memory_order_relaxed);
   }
-  uint64_t readahead_issued() const {
-    return readahead_issued_.load(std::memory_order_relaxed);
-  }
-  uint64_t readahead_hits() const {
-    return readahead_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t bgwriter_flushes() const {
-    return bgwriter_flushes_.load(std::memory_order_relaxed);
-  }
   /// Number of currently pinned frames (for leak tests).
   size_t pinned_frames() const;
   /// Total clock-ring entries across shards, live and stale (for tests:
@@ -217,9 +184,9 @@ class BufferPool {
 
   enum class FrameState : uint8_t {
     kIdle,
-    /// Background write-back in flight: the frame stays in its page table
-    /// but fetch hits wait until the disk write completes, so the image the
-    /// writer captures is never concurrently mutated.
+    /// FlushAll write-back in flight: the frame stays in its page table but
+    /// fetch hits wait until the disk write completes, so the image the
+    /// flush captures is never concurrently mutated.
     kWriting,
   };
 
@@ -229,8 +196,7 @@ class BufferPool {
     /// transitions happen under the owning shard's latch.
     std::atomic<int> pin_count{0};
     bool dirty = false;
-    bool ref = false;         ///< clock second-chance bit
-    bool prefetched = false;  ///< set by readahead, cleared on first fetch
+    bool ref = false;  ///< clock second-chance bit
     FrameState state = FrameState::kIdle;
     /// Monotonic validity stamp for clock entries: pinning or transferring
     /// a frame bumps it, lazily invalidating stale ring entries. Atomic
@@ -295,17 +261,9 @@ class BufferPool {
   /// latch, once the write succeeds.
   Status WriteBackFrame(Frame& frame);
 
-  /// Loads one prefetch request (worker thread).
-  void ReadaheadOne(PageId id);
-  void ReadaheadLoop();
-  void BgWriterLoop();
-  /// One background-writer round over all shards; returns frames flushed.
-  size_t BgWriterRound();
-
   DiskManager* disk_;
   wal::LogManager* wal_;
   size_t capacity_;
-  BufferPoolConfig config_;
   size_t shards_count_ = 1;
   size_t shard_mask_ = 0;
 
@@ -315,31 +273,11 @@ class BufferPool {
   std::mutex free_mutex_;
   std::vector<size_t> free_frames_;
 
-  /// Serializes background-writer rounds against FlushAll: a round runs
-  /// entirely inside this lock, so FlushAll never observes a half-finished
-  /// kWriting frame and checkpoints cannot truncate the log under an
-  /// in-flight background write.
-  std::mutex bg_mutex_;
-
-  // Readahead queue + worker.
-  std::mutex ra_mutex_;
-  std::condition_variable ra_cv_;
-  std::deque<PageId> ra_queue_;
-  /// Hint the worker is currently loading; Discard drains it so a prefetch
-  /// popped from the queue just before the discard cannot resurrect the page.
-  PageId ra_active_ = kInvalidPageId;
-  bool stop_threads_ = false;
-  std::thread ra_thread_;
-  std::thread bg_thread_;
-
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> io_waits_{0};
   std::atomic<uint64_t> shard_conflicts_{0};
-  std::atomic<uint64_t> readahead_issued_{0};
-  std::atomic<uint64_t> readahead_hits_{0};
-  std::atomic<uint64_t> bgwriter_flushes_{0};
 };
 
 }  // namespace jaguar

@@ -35,7 +35,7 @@ class StorageEngine {
   /// beside it at `path` + ".wal". Replays the log if the previous process
   /// crashed, then checkpoints so the engine starts from a clean log.
   /// \param pool_pages buffer pool capacity in pages.
-  /// \param pool_config sharding / readahead / background-writer knobs.
+  /// \param pool_config shard-count knobs.
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& path, size_t pool_pages = 256,
       const wal::WalOptions& wal_options = wal::WalOptions(),

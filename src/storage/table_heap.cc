@@ -277,12 +277,6 @@ Result<const TableHeap::Iterator::View*> TableHeap::Iterator::NextView() {
   while (page_ != kInvalidPageId) {
     if (!chain_page_.valid()) {
       JAGUAR_ASSIGN_OR_RETURN(chain_page_, pool->FetchPage(page_));
-      // Entering a fresh chain page: hint the pool about the next one so a
-      // sequential scan overlaps its reads with record processing. Morsel
-      // scans hint from their precomputed page list instead (parallel.cc).
-      if (!single_page_) {
-        pool->Prefetch(SlottedPage(chain_page_.data()).next_page_id());
-      }
     }
     SlottedPage sp(chain_page_.data());
     while (slot_ < sp.num_slots()) {

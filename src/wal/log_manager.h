@@ -110,9 +110,8 @@ class LogManager {
   /// WAL rule hook: guarantees every record with LSN <= `lsn` is durable
   /// before returning. No-op for kNullLsn or already-durable LSNs.
   /// Internally synchronized: the buffer pool calls this off its shard
-  /// latches — from foreground eviction write-backs, the background writer
-  /// and the readahead worker's evictions — concurrently with appends on
-  /// the query thread. After a checkpoint truncates the log, a stale page
+  /// latches — from eviction write-backs on any fetching thread and from
+  /// FlushAll — concurrently with appends on the query thread. After a checkpoint truncates the log, a stale page
   /// LSN is simply already-durable, so late write-backs remain no-ops.
   Status EnsureDurable(Lsn lsn);
 

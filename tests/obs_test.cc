@@ -318,5 +318,43 @@ TEST_F(MetricsE2eTest, DmlStatementsCarryDeltas) {
   EXPECT_EQ(sel.metrics_delta.at("exec.project.tuples"), 3u);
 }
 
+TEST_F(MetricsE2eTest, RepeatedScanCarriesIdenticalStorageDelta) {
+  // The pool runs no threads of its own, so a statement's storage counters
+  // are its own fetches only: the same serial scan over a table larger than
+  // the pool reports the same hits, misses and evictions every time.
+  db_.reset();
+  DatabaseOptions options;
+  options.buffer_pool_pages = 8;
+  options.num_workers = 1;
+  db_ = Database::Open(path_, options).value();
+  MustExecute("CREATE TABLE big (id INT, b BYTEARRAY)");
+  std::string insert = "INSERT INTO big VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i > 0) insert += ", ";
+    insert += StringPrintf("(%d, randbytes(1000, %d))", i, i);
+  }
+  MustExecute(insert);
+  const std::string scan = "SELECT id, length(b) FROM big";
+  MustExecute(scan);  // settles the pool after the load's dirty pages
+
+  auto storage = [](const QueryResult& r) {
+    std::vector<uint64_t> counts;
+    for (const char* name :
+         {"storage.bufferpool.hits", "storage.bufferpool.misses",
+          "storage.bufferpool.evictions"}) {
+      auto it = r.metrics_delta.find(name);
+      counts.push_back(it != r.metrics_delta.end() ? it->second : 0);
+    }
+    return counts;
+  };
+  QueryResult first = MustExecute(scan);
+  QueryResult second = MustExecute(scan);
+  ASSERT_EQ(first.rows.size(), 200u);
+  const std::vector<uint64_t> counts = storage(first);
+  EXPECT_GT(counts[1], 0u);  // the table does not fit: the scan misses
+  EXPECT_GT(counts[2], 0u);  // ... and evicts
+  EXPECT_EQ(counts, storage(second));
+}
+
 }  // namespace
 }  // namespace jaguar

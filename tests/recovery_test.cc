@@ -250,12 +250,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Eviction / background-writer crash matrix: the same storage.* crash points,
-// but fired from the buffer pool's *off-latch* write-back paths instead of a
-// checkpoint's FlushAll. A four-page pool forces dirty evictions on nearly
-// every phase-B insert, and the background writer races them, so the process
-// dies inside WritePage called from an eviction or a background flush — after
-// the WAL-rule fsync, before (or halfway through) the page image landing.
+// Eviction crash matrix: the same storage.* crash points, but fired from the
+// buffer pool's *off-latch* eviction write-back instead of a checkpoint's
+// FlushAll. A four-page pool forces dirty evictions on nearly every phase-B
+// insert, so the process dies inside WritePage called from an eviction —
+// after the WAL-rule fsync, before (or halfway through) the page image
+// landing.
 // Recovery must still produce a committed state: the fsync-before-write
 // ordering is what makes that true off-latch.
 // ---------------------------------------------------------------------------
@@ -264,7 +264,6 @@ INSTANTIATE_TEST_SUITE_P(
                                            const std::string& point) {
   DatabaseOptions options;
   options.buffer_pool_pages = 4;  // evictions on nearly every statement
-  options.bg_writer = true;
   auto opened = Database::Open(path, options);
   if (!opened.ok()) ::_exit(3);
   std::unique_ptr<Database> db = std::move(opened).value();
@@ -277,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
 
   // Phase B: the overflow-sized rows (RowValue makes every third ~9 KB)
   // churn far more pages than the pool holds, so the armed point fires from
-  // a mid-statement eviction or a background write-back, never a Flush.
+  // a mid-statement eviction write-back, never a Flush.
   wal::CrashPoints::Arm(point);
   for (int k = kPhaseARows; k < kPhaseARows + kPhaseBRows; ++k) {
     if (!InsertRow(db.get(), k)) ::_exit(7);

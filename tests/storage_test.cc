@@ -318,7 +318,6 @@ TEST(BufferPoolTest, ConcurrentMissesOfOnePageIssueOneRead) {
 
   BufferPoolConfig config;
   config.workers_hint = 4;
-  config.readahead_pages = 0;
   BufferPool pool(&dm, 8, nullptr, config);
 
   constexpr int kThreads = 8;
@@ -377,31 +376,6 @@ TEST(BufferPoolTest, FailedWriteBackKeepsVictimReachable) {
   EXPECT_TRUE(pool.NewPage().ok());  // eviction works again
 }
 
-TEST(BufferPoolTest, PrefetchLoadsPagesColdInBackground) {
-  TempDb db("pool_prefetch");
-  DiskManager dm;
-  ASSERT_TRUE(dm.Open(db.path()).ok());
-  PageId id = dm.AllocatePage().value();
-  std::vector<uint8_t> buf(kPageSize, 0xCD);
-  ASSERT_TRUE(dm.WritePage(id, buf.data()).ok());
-
-  BufferPoolConfig config;
-  config.readahead_pages = 4;
-  BufferPool pool(&dm, 4, nullptr, config);
-  pool.Prefetch(id);
-  for (int i = 0; i < 1000 && pool.readahead_issued() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(pool.readahead_issued(), 1u);
-  // The prefetched page is resident and unpinned; fetching it is a hit.
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-  PageGuard p = pool.FetchPage(id).value();
-  EXPECT_EQ(p.data()[0], 0xCD);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
-  EXPECT_EQ(pool.readahead_hits(), 1u);
-}
-
 TEST(BufferPoolTest, HitOnlyWorkloadKeepsClockRingBounded) {
   TempDb db("pool_ringbound");
   DiskManager dm;
@@ -422,37 +396,6 @@ TEST(BufferPoolTest, HitOnlyWorkloadKeepsClockRingBounded) {
   EXPECT_EQ(pool.misses(), 0u);
   EXPECT_LE(pool.clock_entries(),
             2 * pool.capacity() + 17 * pool.num_shards());
-}
-
-TEST(BufferPoolTest, DiscardPurgesQueuedReadahead) {
-  TempDb db("pool_discard_ra");
-  SlowCountingDisk dm;
-  ASSERT_TRUE(dm.Open(db.path()).ok());
-  PageId busy = dm.AllocatePage().value();
-  PageId target = dm.AllocatePage().value();
-  std::vector<uint8_t> buf(kPageSize, 0x11);
-  ASSERT_TRUE(dm.WritePage(busy, buf.data()).ok());
-  ASSERT_TRUE(dm.WritePage(target, buf.data()).ok());
-
-  BufferPoolConfig config;
-  config.readahead_pages = 4;
-  BufferPool pool(&dm, 4, nullptr, config);
-  // The slow read of `busy` keeps the worker occupied, so the hint for
-  // `target` is still queued when Discard runs. Discard must purge it (or
-  // drain it, if the worker got there first): a prefetch completing after
-  // the discard would resurrect the freed page from its stale disk image.
-  pool.Prefetch(busy);
-  pool.Prefetch(target);
-  ASSERT_TRUE(pool.Discard(target).ok());
-  for (int i = 0; i < 1000 && pool.readahead_issued() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(pool.readahead_issued(), 1u);
-  // Give a resurrected prefetch (the bug) time to land before checking.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  const uint64_t misses_before = pool.misses();
-  PageGuard p = pool.FetchPage(target).value();
-  EXPECT_EQ(pool.misses(), misses_before + 1);  // target was not resident
 }
 
 // DiskManager whose page writes park until released, to observe what the
@@ -500,7 +443,6 @@ TEST(BufferPoolTest, FlushAllDoesNotBlockFetchesDuringWriteBack) {
   ASSERT_TRUE(dm.Open(db.path()).ok());
   BufferPoolConfig config;
   config.shards = 1;  // both pages behind the one shard latch
-  config.readahead_pages = 0;
   BufferPool pool(&dm, 4, nullptr, config);
   PageId dirty_id, clean_id;
   {
@@ -535,10 +477,9 @@ TEST(BufferPoolTest, FlushAllDoesNotBlockFetchesDuringWriteBack) {
   EXPECT_EQ(check[0], 7);
 }
 
-// Multi-threaded fetch/evict/discard stress with the readahead worker and
-// background writer running; meant for the TSan CI job. Each thread owns
-// the pages whose id is congruent to its index (only owners mutate or
-// discard), everyone reads everything.
+// Multi-threaded fetch/evict/discard stress; meant for the TSan CI job.
+// Each thread owns the pages whose id is congruent to its index (only
+// owners mutate or discard), everyone reads everything.
 TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
   TempDb db("pool_stress");
   DiskManager dm;
@@ -550,12 +491,6 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
 
   BufferPoolConfig config;
   config.workers_hint = kThreads;
-  config.readahead_pages = 4;
-  config.bg_writer = true;
-  config.bg_writer_interval_ms = 1;
-  // Small batches: frames under background write-back are briefly
-  // unavailable, and a 16-frame pool can't spare eight at once.
-  config.bg_writer_batch = 2;
   // Capacity is deliberately far below kPages so fetches constantly evict,
   // but above kThreads * 2 so concurrent transfers can't exhaust the pool.
   BufferPool pool(&dm, 16, nullptr, config);
@@ -598,9 +533,6 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
           page->data()[1]++;  // only the owner mutates
           page->MarkDirty();
         }
-        if (rng.Next() % 4 == 0) {
-          pool.Prefetch(ids[(k + 1) % kPages]);
-        }
       }
     });
   }
@@ -616,8 +548,9 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
   }
 }
 
-TEST(BufferPoolTest, ReadaheadScanMatchesNoReadaheadScan) {
-  TempDb db("pool_ra_scan");
+TEST(BufferPoolTest, SmallPoolScanReturnsInsertedRows) {
+  TempDb db("pool_small_scan");
+  std::vector<std::vector<uint8_t>> inserted;
   PageId root = kInvalidPageId;
   {
     auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/64).value();
@@ -632,33 +565,25 @@ TEST(BufferPoolTest, ReadaheadScanMatchesNoReadaheadScan) {
         rec[j] = static_cast<uint8_t>((i * 131 + j) & 0xFF);
       }
       ASSERT_TRUE(heap.Insert(Slice(rec.data(), rec.size())).ok());
+      inserted.push_back(std::move(rec));
     }
     ASSERT_TRUE(engine->Close().ok());
   }
 
-  auto scan_all = [&](size_t readahead) {
-    BufferPoolConfig config;
-    config.readahead_pages = readahead;
-    // A pool much smaller than the heap, so readahead actually evicts and
-    // reloads pages instead of everything staying resident.
-    auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/8,
-                                      wal::WalOptions(), config)
-                      .value();
-    TableHeap heap(engine.get(), root);
-    std::vector<std::vector<uint8_t>> rows;
-    TableHeap::Iterator it = heap.Scan();
-    while (true) {
-      auto rec = it.Next().value();
-      if (!rec.has_value()) break;
-      rows.push_back(std::move(rec->second));
-    }
-    EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
-    return rows;
-  };
-  std::vector<std::vector<uint8_t>> plain = scan_all(0);
-  std::vector<std::vector<uint8_t>> ahead = scan_all(8);
-  ASSERT_EQ(plain.size(), 300u);
-  EXPECT_EQ(plain, ahead);  // byte-identical results with readahead on
+  // A pool much smaller than the heap, so the scan evicts and reloads
+  // pages instead of everything staying resident.
+  auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/8).value();
+  TableHeap heap(engine.get(), root);
+  std::vector<std::vector<uint8_t>> rows;
+  TableHeap::Iterator it = heap.Scan();
+  while (true) {
+    auto rec = it.Next().value();
+    if (!rec.has_value()) break;
+    rows.push_back(std::move(rec->second));
+  }
+  EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
+  EXPECT_GT(engine->buffer_pool()->evictions(), 0u);
+  EXPECT_EQ(rows, inserted);  // byte-identical, in insertion order
 }
 
 TEST(StorageEngineTest, HeaderPersistsAcrossReopen) {
