@@ -10,6 +10,11 @@
 //  2. Runner level: IsolatedNativeRunner::InvokeBatch of 256 rows x 8 KB
 //     through a real executor pool, ring vs message, exercising the
 //     serialize-into-ring batch codec and depth-2 pipelining.
+//  3. Scalar: one-row IC++ invocations over the ring (what a one-tuple-at-a-
+//     time scan pays per row) with 0 and 1 callbacks, next to the floor of
+//     any cross-process crossing on the host — two processes bouncing one
+//     shared cache line — timed in the same run. Reported only: the floor
+//     moves with the host, so no bound is checked against it.
 //
 // Emits BENCH_ipc.json. Shape checks: ring >= 1.5x message throughput on
 // large payloads/batches, and the ring's park count (voluntary syscall
@@ -17,11 +22,16 @@
 // count. JAGUAR_BENCH_IPC_ITERS overrides the per-size iteration count for
 // CI smoke runs.
 
+#include <sched.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstring>
+#include <new>
 #include <thread>
 
 #include "bench/harness.h"
@@ -172,6 +182,103 @@ double RunBatch(ipc::Transport transport, int rows, size_t row_bytes,
   return rows / best;
 }
 
+int ScalarIterations() {
+  if (const char* env = std::getenv("JAGUAR_BENCH_IPC_ITERS")) {
+    int n = std::atoi(env);
+    if (n > 0) return n;
+  }
+  return FullScale() ? 100000 : 20000;
+}
+
+/// Answers every callback with 0, standing in for the server: the paper's
+/// callbacks move no data.
+class NullCallbacks : public UdfCallbackHandler {
+ public:
+  Result<int64_t> Callback(int64_t, int64_t) override { return 0; }
+  Result<std::vector<uint8_t>> FetchBytes(int64_t, uint64_t,
+                                          uint64_t) override {
+    return std::vector<uint8_t>();
+  }
+};
+
+/// Microseconds per one-row IC++ invocation (ring transport) of generic_udf
+/// on a 1-byte row making `callbacks` callbacks: best of three timed runs.
+double ScalarInvokeUs(int callbacks, int iters) {
+  RegisterGenericUdfs();
+  auto runner =
+      IsolatedNativeRunner::Spawn(
+          "generic_udf", TypeId::kInt,
+          {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt})
+          .value();
+  const std::vector<Value> args = {Value::Bytes({7}), Value::Int(0),
+                                   Value::Int(0), Value::Int(callbacks)};
+  NullCallbacks server;
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      UdfContext ctx(&server);
+      if (!runner->Invoke(args, &ctx).ok()) std::abort();
+    }
+  };
+  run(iters / 10 + 100);  // warm up: page faults, branch predictors
+  double best = 1e30;
+  for (int r = 0; r < 3; ++r) {
+    Stopwatch timer;
+    run(iters);
+    best = std::min(best, timer.ElapsedSeconds());
+  }
+  return best * 1e6 / iters;
+}
+
+/// Microseconds per round trip of two processes bouncing one shared
+/// cache-line word: the parent publishes an odd value, the child answers
+/// with the next even one. Best of three timed runs.
+double PingPongFloorUs(int iters) {
+  void* mem = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) std::abort();
+  auto* word = new (mem) std::atomic<uint32_t>(0);
+  // A waiter that has spun for a while yields: when both processes share a
+  // CPU, spinning on only delays the peer it waits for.
+  auto await = [word](uint32_t v) {
+    for (int spins = 0; word->load(std::memory_order_acquire) != v; ++spins) {
+      if (spins >= 4096) {
+        ::sched_yield();
+      } else {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+      }
+    }
+  };
+  const uint32_t total = 4 * static_cast<uint32_t>(iters);  // warm-up + 3
+  pid_t pid = ::fork();
+  if (pid == 0) {
+    for (uint32_t v = 1; v < 2 * total; v += 2) {
+      await(v);
+      word->store(v + 1, std::memory_order_release);
+    }
+    ::_exit(0);
+  }
+  uint32_t v = 1;
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i, v += 2) {
+      word->store(v, std::memory_order_release);
+      await(v + 1);
+    }
+  };
+  run(iters);
+  double best = 1e30;
+  for (int r = 0; r < 3; ++r) {
+    Stopwatch timer;
+    run(iters);
+    best = std::min(best, timer.ElapsedSeconds());
+  }
+  int wstatus = 0;
+  ::waitpid(pid, &wstatus, 0);
+  ::munmap(mem, 4096);
+  return best * 1e6 / iters;
+}
+
 uint64_t MetricValue(const obs::MetricsSnapshot& snap,
                      const std::string& name) {
   auto it = snap.find(name);
@@ -239,6 +346,15 @@ int Run() {
               "%.0f rows/s (%.2fx)\n",
               batch_rows, row_bytes, ring_rows_s, message_rows_s, batch_ratio);
 
+  const int scalar_iters = ScalarIterations();
+  const double scalar_us_0cb = ScalarInvokeUs(0, scalar_iters);
+  const double scalar_us_1cb = ScalarInvokeUs(1, scalar_iters);
+  const double pingpong_us = PingPongFloorUs(10 * scalar_iters);
+  std::printf("\nScalar IC++ (ring, 1-byte row): %.3f us/invocation with 0 "
+              "callbacks, %.3f us with 1; two-process ping-pong floor %.3f "
+              "us/round trip\n",
+              scalar_us_0cb, scalar_us_1cb, pingpong_us);
+
   std::FILE* json = std::fopen("BENCH_ipc.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"echo\": {\n");
@@ -259,9 +375,12 @@ int Run() {
                  ",\n  \"message_crossings\": %" PRIu64
                  ",\n  \"batch\": {\"rows\": %d, \"row_bytes\": %zu, "
                  "\"ring_rows_per_s\": %.0f, \"message_rows_per_s\": %.0f, "
-                 "\"ratio\": %.3f}\n}\n",
+                 "\"ratio\": %.3f},\n  \"scalar\": {\"icpp_invoke_us_0cb\": "
+                 "%.4f, \"icpp_invoke_us_1cb\": %.4f, \"pingpong_floor_us\": "
+                 "%.4f}\n}\n",
                  ring_parks, ring_crossings, message_crossings, batch_rows,
-                 row_bytes, ring_rows_s, message_rows_s, batch_ratio);
+                 row_bytes, ring_rows_s, message_rows_s, batch_ratio,
+                 scalar_us_0cb, scalar_us_1cb, pingpong_us);
     std::fclose(json);
     std::printf("\nwrote BENCH_ipc.json\n");
   }

@@ -4,8 +4,8 @@
 /// \file crc32.h
 /// CRC-32 (the reflected 0xEDB88320 polynomial, as used by zlib) over a byte
 /// range. Used to frame write-ahead log records so a torn append is detected
-/// by the recovery tail scan instead of being replayed as garbage, and to
-/// frame IPC ring-buffer records.
+/// by the recovery tail scan instead of being replayed as garbage. (The IPC
+/// ring's frame CRC never leaves memory and uses CRC-32C, crc32c.h.)
 ///
 /// The bulk path uses slicing-by-8 (eight precomputed tables, one 64-bit
 /// chunk per iteration) — ~8x the throughput of the classic byte-at-a-time

@@ -11,36 +11,52 @@
 /// process-shared semaphore where futexes are unavailable) only when the peer
 /// is genuinely slow.
 ///
-/// Layout: a cache-line-separated `Control` block (head/tail cursors and the
-/// parking words) followed by a power-of-two data area. Cursors are monotonic
-/// 64-bit byte positions; `pos & (capacity-1)` is the buffer index, and
-/// `tail - head` is the occupancy, so full/empty are never ambiguous.
+/// Layout: a cache-line-separated `Control` block (cursors and the parking
+/// words) followed by a power-of-two data area. Cursors are monotonic 64-bit
+/// byte positions; `pos & (capacity-1)` is the buffer index.
 ///
 /// Frame format, 8-byte aligned:
 ///
-///   u32 len | u32 type | u32 crc | payload[len] | pad to 8
+///   u32 len | u32 type | u32 crc | u32 seq | payload[len] | pad to 8
 ///
-/// where crc = CRC32(len_le || type_le || payload[0..min(len, kCrcWindow))).
-/// A frame never straddles the end of the buffer: when the remaining room
-/// cannot hold the frame the producer emits a wrap marker (len = 0xFFFFFFFF)
-/// — or nothing at all if the room cannot even hold a header — and both
-/// sides skip to the start. A torn or bit-flipped frame fails the CRC (or
-/// the length sanity check) and surfaces as Corruption instead of being
-/// decoded as garbage; coverage is bounded at kCrcWindow payload bytes so
-/// integrity checking stays O(1) per frame (see the constant's comment).
+/// where seq = SeqTag(frame start position) and crc = CRC32C(len || type ||
+/// seq || payload[0..min(len, kCrcWindow))). A frame never straddles the end
+/// of the buffer: when the remaining room cannot hold the frame the producer
+/// emits a wrap marker (len = 0xFFFFFFFF, same header otherwise) — or
+/// nothing at all if the room cannot even hold a header — and both sides
+/// skip to the start. A torn or bit-flipped frame fails the CRC (or the
+/// length sanity check) and surfaces as Corruption instead of being decoded
+/// as garbage; coverage is bounded at kCrcWindow payload bytes so integrity
+/// checking stays O(1) per frame (see the constant's comment).
 ///
-/// Memory ordering (the lost-wakeup argument): publishing and parking use a
-/// Dekker-style handshake in which all four critical accesses are seq_cst —
-/// producer: tail.store; data_seq.fetch_add; consumer_parked.load
-/// consumer: consumer_parked.store; data_seq.load; tail.load; futex_wait
-/// If the consumer's final tail load misses the producer's store, the
-/// consumer's parked store precedes that store in the single total order, so
-/// the producer's parked load observes it and issues the wake. If the wake
-/// races the consumer into futex_wait, the kernel revalidates data_seq —
-/// which the producer bumped before waking — and returns EAGAIN. The
-/// symmetric protocol (space_seq/producer_parked) covers a producer waiting
-/// for ring space. Every park is additionally bounded by a 100 ms slice, so
-/// the ring degrades to polling rather than hanging even if a peer dies
+/// Header signalling: the seq word is the frame's publication flag. The
+/// producer writes len/type/crc and the payload, then stores seq with
+/// release order; the consumer waits on the seq word *at its own read
+/// position* with acquire loads until it holds the tag that position
+/// expects, so the frame's cache line is the only one a crossing moves to
+/// the consumer. Tags are a lap-unique function of the position, so a stale
+/// header from an earlier lap never matches. The producer keeps its tail
+/// privately and a cached copy of the consumer's `head`, re-reading the
+/// shared `head` only when the cached copy says the ring is full. It still
+/// stores the shared `tail` after each publish, but the consumer reads it
+/// only before parking: a published tail past a header whose seq does not
+/// match means the header is corrupt (Corruption), not late.
+///
+/// Memory ordering (the lost-wakeup argument): publishing and parking form a
+/// Dekker-style handshake through two seq_cst fences —
+///   producer: seq.store(release); fence; consumer_parked.load
+///   consumer: consumer_parked.store; fence; seq.load(acquire); futex_wait
+/// If the consumer's seq load misses the producer's store, the fence order
+/// puts the consumer's fence first, so the producer's parked load observes
+/// the flag and it bumps data_seq and wakes. If the wake races the consumer
+/// into futex_wait, the kernel revalidates data_seq — read before the seq
+/// check, bumped before the wake — and returns EAGAIN. A consumer that reads
+/// the bumped data_seq synchronizes with the bump and so sees the header.
+/// The producer pays exactly one full fence per publish, only to read the
+/// parked flag. The symmetric protocol (head / space_seq / producer_parked)
+/// covers a producer waiting for ring space, and costs the consumer one
+/// fence per release. Every park is additionally bounded by a 100 ms slice,
+/// so the ring degrades to polling rather than hanging even if a peer dies
 /// between publish and wake.
 
 #include <semaphore.h>
@@ -57,12 +73,12 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <new>
 #include <thread>
 #include <utility>
+#include <vector>
 
-#include "common/crc32.h"
+#include "common/crc32c.h"
 #include "common/deadline.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -84,7 +100,8 @@ struct RingStats {
 
 class SpscRingBuffer {
  public:
-  static constexpr uint64_t kHeaderBytes = 12;
+  static constexpr uint64_t kHeaderBytes = 16;
+  static constexpr uint64_t kSeqOffset = 12;  ///< the seq word in a header
   static constexpr uint32_t kWrapMarker = 0xFFFFFFFFu;
   static constexpr uint64_t kAlign = 8;
   static constexpr uint64_t kMinCapacity = 4096;
@@ -209,59 +226,51 @@ class SpscRingBuffer {
           static_cast<unsigned long long>(max_payload_)));
     }
     const uint64_t padded = Pad(kHeaderBytes + max_len);
-    const uint64_t pos = ctl_->tail.load(std::memory_order_relaxed);
-    const uint64_t idx = pos & mask_;
-    const uint64_t room = cap_ - idx;
+    const uint64_t pos = tail_;
+    const uint64_t room = cap_ - (pos & mask_);
     uint64_t skip = 0;
-    bool marker = false;
-    if (room < kHeaderBytes) {
-      skip = room;  // too small even for a header; both sides skip implicitly
-    } else if (room < padded) {
-      marker = true;  // room for a header: emit an explicit wrap marker
-      skip = room;
-    }
+    if (room < padded) skip = room;  // wrap: marker (or implicit skip) + start
     const uint64_t total = skip + padded;
-    JAGUAR_RETURN_IF_ERROR(WaitFor(
-        [this, pos, total] {
-          return cap_ - (pos - ctl_->head.load(std::memory_order_seq_cst)) >=
-                 total;
-        },
-        &ctl_->space_seq, &ctl_->producer_parked, &ctl_->space_sem, w));
-    if (marker) {
-      StoreU32(data_ + idx, kWrapMarker);
-      StoreU32(data_ + idx + 4, 0);
-      StoreU32(data_ + idx + 8, 0);
+    if (cap_ - (pos - head_cache_) < total) {
+      JAGUAR_RETURN_IF_ERROR(WaitFor(
+          [this, pos, total] {
+            head_cache_ = ctl_->head.load(std::memory_order_acquire);
+            return cap_ - (pos - head_cache_) >= total;
+          },
+          [] { return Status::OK(); }, &ctl_->space_seq,
+          &ctl_->producer_parked, &ctl_->space_sem, w));
     }
-    if (skip != 0) Bump(stats_.wraps);
     prep_base_ = pos + skip;
-    prep_skip_ = skip;
     prep_max_ = max_len;
     prep_live_ = true;
     return data_ + (prep_base_ & mask_) + kHeaderBytes;
   }
 
-  /// Publishes the prepared frame with its actual payload length. The wrap
-  /// marker (if any) and the frame become visible to the consumer in one
-  /// tail store; a parked consumer is woken.
+  /// Publishes the prepared frame with its actual payload length: the wrap
+  /// marker (if any), then the frame, each by a release store of its seq
+  /// word. A parked consumer is woken.
   Status Commit(uint32_t type, size_t actual_len) {
     if (!prep_live_) return Internal("ring Commit without a Prepare");
     if (actual_len > prep_max_) {
       return Internal("ring Commit exceeds the prepared reservation");
     }
     prep_live_ = false;
-    const uint64_t idx = prep_base_ & mask_;
-    StoreU32(data_ + idx, static_cast<uint32_t>(actual_len));
-    StoreU32(data_ + idx + 4, type);
-    StoreU32(data_ + idx + 8,
-             FrameCrc(type, data_ + idx + kHeaderBytes, actual_len));
+    const uint64_t skip = prep_base_ - tail_;
+    if (skip >= kHeaderBytes) {
+      WriteHeader(tail_, kWrapMarker, 0, 0);
+    }
     const uint64_t padded = Pad(kHeaderBytes + actual_len);
-    ctl_->tail.store(prep_base_ + padded, std::memory_order_seq_cst);
-    ctl_->data_seq.fetch_add(1, std::memory_order_seq_cst);
-    if (ctl_->consumer_parked.load(std::memory_order_seq_cst) != 0) {
+    WriteHeader(prep_base_, static_cast<uint32_t>(actual_len), type, padded);
+    tail_ = prep_base_ + padded;
+    ctl_->tail.store(tail_, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (ctl_->consumer_parked.load(std::memory_order_relaxed) != 0) {
+      ctl_->data_seq.fetch_add(1, std::memory_order_release);
       Wake(&ctl_->data_seq, &ctl_->data_sem);
     }
+    if (skip != 0) Bump(stats_.wraps);
     Bump(stats_.frames);
-    Bump(stats_.bytes, prep_skip_ + padded);
+    Bump(stats_.bytes, skip + padded);
     return Status::OK();
   }
 
@@ -287,20 +296,35 @@ class SpscRingBuffer {
   Result<Frame> Read(const WaitOptions& w) {
     while (true) {
       const uint64_t pos = read_pos_;
-      JAGUAR_RETURN_IF_ERROR(WaitFor(
-          [this, pos] {
-            return ctl_->tail.load(std::memory_order_seq_cst) != pos;
-          },
-          &ctl_->data_seq, &ctl_->consumer_parked, &ctl_->data_sem, w));
-      const uint64_t tail = ctl_->tail.load(std::memory_order_acquire);
       const uint64_t idx = pos & mask_;
       const uint64_t room = cap_ - idx;
       if (room < kHeaderBytes) {  // implicit end-of-buffer skip
         read_pos_ = pos + room;
         continue;
       }
-      const uint32_t len = LoadU32(data_ + idx);
+      const uint8_t* hdr = data_ + idx;
+      const uint32_t tag = SeqTag(pos);
+      if (LoadSeq(hdr) != tag) {
+        JAGUAR_RETURN_IF_ERROR(WaitFor(
+            [hdr, tag] { return LoadSeq(hdr) == tag; },
+            [this, hdr, tag, pos] {
+              // A published tail past this header means its seq word was
+              // written; if it still does not match, it was corrupted.
+              const uint64_t tail = ctl_->tail.load(std::memory_order_acquire);
+              if (tail > pos && LoadSeq(hdr) != tag) {
+                return Corruption("ring frame seq mismatch (corrupt header)");
+              }
+              return Status::OK();
+            },
+            &ctl_->data_seq, &ctl_->consumer_parked, &ctl_->data_sem, w));
+      }
+      const uint32_t len = LoadU32(hdr);
+      const uint32_t type = LoadU32(hdr + 4);
+      const uint32_t crc = LoadU32(hdr + 8);
       if (len == kWrapMarker) {
+        if (crc != FrameCrc(len, type, tag, nullptr, 0)) {
+          return Corruption("ring wrap marker CRC mismatch");
+        }
         read_pos_ = pos + room;
         continue;
       }
@@ -310,17 +334,15 @@ class SpscRingBuffer {
             static_cast<unsigned long long>(max_payload_)));
       }
       const uint64_t padded = Pad(kHeaderBytes + len);
-      if (tail - pos < padded) {
-        return Corruption("ring frame extends past the published tail");
+      if (padded > room) {
+        return Corruption("ring frame extends past the end of the buffer");
       }
-      const uint32_t type = LoadU32(data_ + idx + 4);
-      const uint32_t crc = LoadU32(data_ + idx + 8);
-      if (crc != FrameCrc(type, data_ + idx + kHeaderBytes, len)) {
+      if (crc != FrameCrc(len, type, tag, hdr + kHeaderBytes, len)) {
         return Corruption("ring frame CRC mismatch (torn or corrupt frame)");
       }
       Frame f;
       f.type = type;
-      f.payload = Slice(data_ + idx + kHeaderBytes, len);
+      f.payload = Slice(hdr + kHeaderBytes, len);
       f.end_pos = pos + padded;
       read_pos_ = f.end_pos;
       pending_.emplace_back(f.end_pos, false);
@@ -332,28 +354,46 @@ class SpscRingBuffer {
   /// released out of read order; the shared head only advances over the
   /// released prefix, so an earlier still-held view is never recycled.
   void Release(uint64_t end_pos) {
-    for (auto& e : pending_) {
-      if (e.first == end_pos) {
-        e.second = true;
+    for (size_t i = pending_front_; i < pending_.size(); ++i) {
+      if (pending_[i].first == end_pos) {
+        pending_[i].second = true;
         break;
       }
     }
     uint64_t new_head = 0;
     bool advanced = false;
-    while (!pending_.empty() && pending_.front().second) {
-      new_head = pending_.front().first;
-      pending_.pop_front();
+    while (pending_front_ < pending_.size() && pending_[pending_front_].second) {
+      new_head = pending_[pending_front_].first;
+      ++pending_front_;
       advanced = true;
     }
     if (!advanced) return;
-    ctl_->head.store(new_head, std::memory_order_seq_cst);
-    ctl_->space_seq.fetch_add(1, std::memory_order_seq_cst);
-    if (ctl_->producer_parked.load(std::memory_order_seq_cst) != 0) {
+    if (pending_front_ == pending_.size()) {
+      pending_.clear();  // keeps its capacity: no allocation per frame
+      pending_front_ = 0;
+    } else if (pending_front_ > 64 && 2 * pending_front_ > pending_.size()) {
+      pending_.erase(pending_.begin(), pending_.begin() + pending_front_);
+      pending_front_ = 0;
+    }
+    ctl_->head.store(new_head, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (ctl_->producer_parked.load(std::memory_order_relaxed) != 0) {
+      ctl_->space_seq.fetch_add(1, std::memory_order_release);
       Wake(&ctl_->space_seq, &ctl_->space_sem);
     }
   }
 
  private:
+  /// The seq word a header at position `pos` carries once published. Two
+  /// positions that share a buffer index differ by a multiple of the
+  /// capacity (>= 4096), so their tags differ for the first 64 GB of
+  /// traffic. The salt keeps small integers — lengths and counts in stale
+  /// payload bytes — from matching, and the low bit keeps zeroed memory
+  /// from matching.
+  static uint32_t SeqTag(uint64_t pos) {
+    return (static_cast<uint32_t>(pos >> 4) ^ 0x9E3779B9u) | 1u;
+  }
+
   static void StoreU32(uint8_t* p, uint32_t v) {
     p[0] = static_cast<uint8_t>(v);
     p[1] = static_cast<uint8_t>(v >> 8);
@@ -366,12 +406,39 @@ class SpscRingBuffer {
            (static_cast<uint32_t>(p[3]) << 24);
   }
 
-  static uint32_t FrameCrc(uint32_t type, const uint8_t* payload, size_t len) {
-    uint8_t hdr[8];
-    StoreU32(hdr, static_cast<uint32_t>(len));
+  /// The seq word is the only header field two processes touch
+  /// concurrently, so it alone is accessed atomically (it is 4-aligned:
+  /// headers start 8-aligned).
+  static uint32_t LoadSeq(const uint8_t* hdr) {
+    return __atomic_load_n(
+        reinterpret_cast<const uint32_t*>(hdr + kSeqOffset), __ATOMIC_ACQUIRE);
+  }
+  static void StoreSeq(uint8_t* hdr, uint32_t tag) {
+    __atomic_store_n(reinterpret_cast<uint32_t*>(hdr + kSeqOffset), tag,
+                     __ATOMIC_RELEASE);
+  }
+
+  static uint32_t FrameCrc(uint32_t len, uint32_t type, uint32_t tag,
+                           const uint8_t* payload, size_t payload_len) {
+    uint8_t hdr[12];
+    StoreU32(hdr, len);
     StoreU32(hdr + 4, type);
-    const size_t covered = len < kCrcWindow ? len : kCrcWindow;
-    return Crc32(payload, covered, Crc32(hdr, sizeof(hdr)));
+    StoreU32(hdr + 8, tag);
+    const size_t covered = payload_len < kCrcWindow ? payload_len : kCrcWindow;
+    return Crc32c(payload, covered, Crc32c(hdr, sizeof(hdr)));
+  }
+
+  /// Fills in and publishes the header at `pos`; `padded` is the frame's
+  /// size (0 for a wrap marker, whose CRC covers the header alone).
+  void WriteHeader(uint64_t pos, uint32_t len, uint32_t type,
+                   uint64_t padded) {
+    uint8_t* hdr = data_ + (pos & mask_);
+    const uint32_t tag = SeqTag(pos);
+    StoreU32(hdr, len);
+    StoreU32(hdr + 4, type);
+    StoreU32(hdr + 8, FrameCrc(len, type, tag, hdr + kHeaderBytes,
+                               padded == 0 ? 0 : len));
+    StoreSeq(hdr, tag);
   }
 
   static void CpuRelax() {
@@ -398,6 +465,7 @@ class SpscRingBuffer {
     ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(seq), FUTEX_WAIT,
               observed, &slice, nullptr, 0);
 #else
+    (void)seq;
     (void)observed;
     struct timespec abs;
     ::clock_gettime(CLOCK_REALTIME, &abs);
@@ -423,9 +491,6 @@ class SpscRingBuffer {
     Bump(stats_.wakes);
   }
 
-  /// Spin-then-park until `ready()` holds, a deadline/budget expires, or a
-  /// wait error occurs. `ready` must load the watched cursor with seq_cst
-  /// (part of the handshake proof above).
   /// Spinning only ever pays when the peer can make progress on another
   /// CPU; on a single-core host every spin iteration *delays* the peer, so
   /// the waiter parks immediately instead.
@@ -434,8 +499,12 @@ class SpscRingBuffer {
     return multicore ? requested : 0;
   }
 
-  template <typename Ready>
-  Status WaitFor(Ready ready, std::atomic<uint32_t>* seq,
+  /// Spin-then-park until `ready()` holds, a deadline/budget expires, or a
+  /// wait error occurs. `ready` must acquire-load the watched word (part of
+  /// the handshake proof above). `stuck()` runs before each park and may
+  /// turn a wait that can never end into an error.
+  template <typename Ready, typename Stuck>
+  Status WaitFor(Ready ready, Stuck stuck, std::atomic<uint32_t>* seq,
                  std::atomic<uint32_t>* parked, sem_t* sem,
                  const WaitOptions& w) {
     if (ready()) return Status::OK();
@@ -452,15 +521,21 @@ class SpscRingBuffer {
     struct timespec start;
     ::clock_gettime(CLOCK_MONOTONIC, &start);
     while (true) {
-      parked->store(1, std::memory_order_seq_cst);
-      const uint32_t observed = seq->load(std::memory_order_seq_cst);
+      parked->store(1, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      const uint32_t observed = seq->load(std::memory_order_acquire);
       if (ready()) {
-        parked->store(0, std::memory_order_seq_cst);
+        parked->store(0, std::memory_order_relaxed);
         return Status::OK();
+      }
+      Status s = stuck();
+      if (!s.ok()) {
+        parked->store(0, std::memory_order_relaxed);
+        return s;
       }
       Bump(stats_.parks);
       ParkSlice(seq, observed, sem);
-      parked->store(0, std::memory_order_seq_cst);
+      parked->store(0, std::memory_order_relaxed);
       if (ready()) return Status::OK();
       // Between slices: the query watchdog first, then the dead-peer budget
       // — expiry mid-wait is detected at most one slice late, exactly the
@@ -483,16 +558,20 @@ class SpscRingBuffer {
   uint64_t max_payload_ = 0;
   RingStats stats_;
 
-  // Producer-local reservation state (each forked process has its own copy;
-  // only the producing side of a direction ever touches these).
+  // Producer-local state (each forked process has its own copy; only the
+  // producing side of a direction ever touches these): the private tail,
+  // the last head read from shared memory, and the open reservation.
+  uint64_t tail_ = 0;
+  uint64_t head_cache_ = 0;
   uint64_t prep_base_ = 0;
-  uint64_t prep_skip_ = 0;
   size_t prep_max_ = 0;
   bool prep_live_ = false;
 
-  // Consumer-local read cursor and outstanding (end_pos, released) frames.
+  // Consumer-local read cursor and outstanding (end_pos, released) frames,
+  // oldest at `pending_front_`.
   uint64_t read_pos_ = 0;
-  std::deque<std::pair<uint64_t, bool>> pending_;
+  std::vector<std::pair<uint64_t, bool>> pending_;
+  size_t pending_front_ = 0;
 };
 
 }  // namespace jaguar

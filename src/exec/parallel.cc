@@ -101,15 +101,20 @@ Status DriveMorsels(const MorselScanSpec& spec, const MorselPlan& plan,
 /// Scans one morsel a window of `batch_size` records at a time: the prefix
 /// drops records as they are read, the predicate runs on each window's
 /// survivors (UDFs cross once per batch), and `on_batch` gets the rest.
+/// exec.parallel.tuples counts every record examined, dropped ones too (the
+/// exec.seqscan.tuples definition), once per window.
 Status ScanMorselBatches(
     const MorselScanSpec& spec, const MorselPlan& plan, const Morsel& morsel,
     const std::function<Status(std::vector<Tuple>*)>& on_batch) {
+  static obs::Counter* examined =
+      obs::MetricsRegistry::Global()->GetCounter("exec.parallel.tuples");
   const size_t batch_cap = spec.batch_size > 0 ? spec.batch_size : 1;
   std::vector<Tuple> batch;
   batch.reserve(batch_cap);
   size_t window = 0;  // records read since the last flush, dropped ones too
   auto flush = [&]() -> Status {
     if (window == 0) return Status::OK();
+    examined->Add(window);
     window = 0;
     // Per-batch cancellation point: an expired deadline stops this worker
     // before the next round of (potentially expensive) UDF evaluation.
@@ -168,7 +173,6 @@ Result<std::vector<Tuple>> RunParallelScan(const ParallelScanSpec& spec) {
       rows.push_back(std::move(t));
     }
   }
-  Count("exec.parallel.tuples", rows.size());
   return rows;
 }
 

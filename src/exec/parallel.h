@@ -27,7 +27,8 @@
 ///   exec.parallel.queries   morsel-driven queries run (scan/agg/sort)
 ///   exec.parallel.workers   worker threads launched (sums over queries)
 ///   exec.parallel.morsels   morsels dispensed
-///   exec.parallel.tuples    tuples produced by parallel scans
+///   exec.parallel.tuples    records examined by morsel scans (scan, aggregate
+///                           and sort alike), dropped ones too
 
 #include <cstdint>
 #include <vector>

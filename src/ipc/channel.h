@@ -109,6 +109,8 @@ class Channel {
   /// Like ReceiveInChild but bypasses the stash: used by a child awaiting a
   /// callback reply, which must *not* re-pop the requests it just deferred.
   Result<Msg> ReceiveFreshInChild() { return DoReceiveInChild(); }
+  /// View form of ReceiveFreshInChild (release with ReleaseInChild).
+  Result<View> ReceiveFreshViewInChild() { return DoReceiveViewInChild(); }
 
   /// View receives: the frame stays in transport memory (ring) until the
   /// matching Release. Default shims copy-receive into an internal buffer.

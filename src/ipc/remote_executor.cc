@@ -128,15 +128,20 @@ Status RemoteExecutor::BeginExecutePrepared(size_t actual_len) {
 Result<std::vector<uint8_t>> RemoteExecutor::FinishExecute(
     const CallbackHandler& on_callback) {
   std::vector<uint8_t> out;
-  JAGUAR_RETURN_IF_ERROR(
-      FinishExecuteWith(on_callback, [&out](Slice payload) -> Status {
+  JAGUAR_RETURN_IF_ERROR(FinishExecuteWith(
+      [&on_callback](Slice payload, Channel* channel) -> Status {
+        JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
+                                on_callback(payload));
+        return channel->SendToChild(MsgType::kCallbackReply, Slice(reply));
+      },
+      [&out](Slice payload) -> Status {
         out.assign(payload.data(), payload.data() + payload.size());
         return Status::OK();
       }));
   return out;
 }
 
-Status RemoteExecutor::FinishExecuteWith(const CallbackHandler& on_callback,
+Status RemoteExecutor::FinishExecuteWith(const CallbackResponder& on_callback,
                                          const ResultConsumer& consume) {
   if (in_flight_ == 0) return Internal("no request in flight");
   --in_flight_;
@@ -155,17 +160,15 @@ Status RemoteExecutor::FinishExecuteWith(const CallbackHandler& on_callback,
         return error;
       }
       case MsgType::kCallbackRequest: {
-        Result<std::vector<uint8_t>> reply = on_callback(msg.second);
+        Status replied = on_callback(msg.second, channel_.get());
         channel_->ReleaseInParent();
-        if (!reply.ok()) {
+        if (replied.IsIoError()) return replied;  // the channel is broken
+        if (!replied.ok()) {
           // Surface the callback failure to the child; it will fail the UDF
           // and ship the error back as kError.
           JAGUAR_RETURN_IF_ERROR(channel_->SendToChild(
-              MsgType::kError, Slice(EncodeStatus(reply.status()))));
-          break;
+              MsgType::kError, Slice(EncodeStatus(replied))));
         }
-        JAGUAR_RETURN_IF_ERROR(
-            channel_->SendToChild(MsgType::kCallbackReply, Slice(*reply)));
         break;
       }
       default:

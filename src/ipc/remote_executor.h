@@ -54,9 +54,19 @@ class RemoteExecutor {
       std::function<Result<std::vector<uint8_t>>(Slice request,
                                                  Channel* channel)>;
 
-  /// Answers a child callback in the parent.
+  /// Answers a child callback in the parent by returning the reply payload
+  /// (copied into the channel).
   using CallbackHandler =
       std::function<Result<std::vector<uint8_t>>(Slice payload)>;
+
+  /// Zero-copy form of CallbackHandler: decodes `payload` (an in-place view)
+  /// and, on success, has sent exactly one kCallbackReply to the child,
+  /// typically serialized straight into the channel with
+  /// `PrepareToChild`/`CommitToChild`. On error it has sent nothing; an
+  /// IoError (a broken channel) fails the wait, any other error goes to the
+  /// child as kError.
+  using CallbackResponder =
+      std::function<Status(Slice payload, Channel* channel)>;
 
   /// Consumes a result payload in place (before the frame is released).
   using ResultConsumer = std::function<Status(Slice payload)>;
@@ -98,10 +108,11 @@ class RemoteExecutor {
   /// its result (or error) arrives. Must follow a successful BeginExecute*.
   Result<std::vector<uint8_t>> FinishExecute(const CallbackHandler& on_callback);
 
-  /// Like FinishExecute but hands the result payload to `consume` as an
-  /// in-place view (zero-copy on the ring transport) and releases it after
-  /// `consume` returns.
-  Status FinishExecuteWith(const CallbackHandler& on_callback,
+  /// Like FinishExecute but answers callbacks through `on_callback` without
+  /// an intermediate reply buffer, and hands the result payload to `consume`
+  /// as an in-place view (zero-copy on the ring transport), releasing it
+  /// after `consume` returns.
+  Status FinishExecuteWith(const CallbackResponder& on_callback,
                            const ResultConsumer& consume);
 
   /// Requests currently committed but not yet finished.

@@ -148,6 +148,26 @@ Result<Value> Value::ReadFrom(BufferReader* r) {
   return Corruption("unknown value type tag " + std::to_string(tag));
 }
 
+Status Value::ReadInto(BufferReader* r, Value* out) {
+  const bool reusable =
+      out->type_ == TypeId::kBytes || out->type_ == TypeId::kString;
+  BufferReader peek = *r;
+  Result<uint8_t> tag = peek.ReadU8();
+  if (reusable && tag.ok() && *tag == static_cast<uint8_t>(out->type_)) {
+    JAGUAR_ASSIGN_OR_RETURN(Slice s, peek.ReadLengthPrefixed());
+    if (out->type_ == TypeId::kBytes) {
+      out->MutableBytes().assign(s.data(), s.data() + s.size());
+    } else {
+      std::get<std::string>(out->data_)
+          .assign(reinterpret_cast<const char*>(s.data()), s.size());
+    }
+    *r = peek;
+    return Status::OK();
+  }
+  JAGUAR_ASSIGN_OR_RETURN(*out, ReadFrom(r));
+  return Status::OK();
+}
+
 size_t Value::SerializedSize() const {
   switch (type_) {
     case TypeId::kNull: return 1;

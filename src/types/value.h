@@ -97,6 +97,10 @@ class Value {
   void WriteTo(BufferWriter* w) const;
   /// ADT stream protocol: reads one value written by `WriteTo`.
   static Result<Value> ReadFrom(BufferReader* r);
+  /// Like ReadFrom, but decodes into `*out`, reusing its byte or string
+  /// buffer when it already holds a value of the same type (decoding loops
+  /// that run per row allocate nothing once warm).
+  static Status ReadInto(BufferReader* r, Value* out);
 
   /// \return Serialized size in bytes (tag + payload).
   size_t SerializedSize() const;

@@ -1,5 +1,7 @@
 #include "udf/isolated_udf_runner.h"
 
+#include <span>
+
 #include "common/bytes.h"
 #include "common/string_util.h"
 #include "jvm/vm.h"
@@ -42,40 +44,12 @@ obs::Counter* WatchdogKills() {
   return c;
 }
 
-Result<std::vector<Value>> RunChunkedBatch(
-    ipc::RemoteExecutor* executor,
-    const std::vector<std::vector<Value>>& args_batch, size_t header_bytes,
-    size_t shm_capacity, UdfContext* ctx,
-    const std::function<void(BufferWriter*)>& write_header);
+/// A run of argument rows: a whole batch, or one caller-owned row viewed as
+/// a batch of one (the scalar path copies nothing).
+using ArgRows = std::span<const std::vector<Value>>;
 
-/// Runs one chunked batch through a leased executor with the query deadline
-/// (if any) armed on the lease's channel, then settles the lease:
-///   - DeadlineExceeded: the child is still chewing on the UDF (or wedged) —
-///     the watchdog SIGKILLs it via Discard and the pool respawns lazily.
-///     Only this worker's lease dies; concurrent workers' leases are healthy.
-///   - IoError: the child died on its own; discard as before.
-/// Shared by Designs 2 (IC++) and 4 (IJNI) — the two "kill the process"
-/// cells of Table 1's security column.
-Result<std::vector<Value>> RunGuardedBatch(
-    ExecutorPool::Lease* lease,
-    const std::vector<std::vector<Value>>& args_batch, size_t header_bytes,
-    size_t shm_capacity, UdfContext* ctx,
-    const std::function<void(BufferWriter*)>& write_header) {
-  ipc::Channel* channel = lease->get()->channel();
-  channel->set_parent_deadline(ctx != nullptr ? ctx->deadline() : nullptr);
-  Result<std::vector<Value>> results = RunChunkedBatch(
-      lease->get(), args_batch, header_bytes, shm_capacity, ctx, write_header);
-  channel->set_parent_deadline(nullptr);
-  if (!results.ok()) {
-    if (results.status().IsDeadlineExceeded()) {
-      WatchdogKills()->Add();
-      lease->Discard();
-    } else if (results.status().IsIoError()) {
-      lease->Discard();
-    }
-  }
-  return results;
-}
+/// Every request payload starts with its u32 row count.
+constexpr size_t kCountBytes = 4;
 
 /// Bytes one argument row adds to a request payload (u32 arg count + each
 /// value's wire encoding).
@@ -85,33 +59,57 @@ size_t ArgRowSerializedSize(const std::vector<Value>& args) {
   return bytes;
 }
 
-/// Greedy chunking: the last row index (exclusive) after `begin` such that
-/// the chunk's serialized request still fits the shared-memory segment.
-/// Always includes at least one row — a single oversized row fails with
-/// InvalidArgument, exactly as the scalar path always has.
-size_t BatchChunkEnd(const std::vector<std::vector<Value>>& batch,
-                     size_t begin, size_t header_bytes, size_t shm_capacity) {
-  // Slack for the count prefix and the channel's own framing.
-  constexpr size_t kSlack = 256;
-  const size_t budget =
-      shm_capacity > header_bytes + kSlack ? shm_capacity - header_bytes -
-                                                 kSlack
-                                           : 0;
-  size_t end = begin;
-  size_t used = 0;
-  while (end < batch.size()) {
-    const size_t row_bytes = ArgRowSerializedSize(batch[end]);
-    if (end > begin && used + row_bytes > budget) break;
-    used += row_bytes;
-    ++end;
-  }
-  return end;
+Status OversizedRequest(size_t len, size_t shm_capacity) {
+  return InvalidArgument(StringPrintf(
+      "serialized request (%zu bytes) exceeds channel capacity (%zu)", len,
+      shm_capacity));
 }
 
-/// Decodes a count-prefixed batch of result values, checking the count
-/// against what the request carried. `payload` may be an in-place view into
-/// transport memory (values copy out as they decode).
-Result<std::vector<Value>> DecodeResultBatch(Slice payload, size_t expected) {
+/// One request chunk: rows [begin, end) and its exact serialized size.
+struct Chunk {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t len = 0;
+};
+
+/// Greedy chunking: the longest run of rows from `begin` whose request
+/// still fits the shared-memory segment. Always takes at least one row; a
+/// single row too large for the segment fails with InvalidArgument.
+Result<Chunk> NextChunk(ArgRows rows, size_t begin, size_t shm_capacity) {
+  // Slack for the channel's own framing.
+  constexpr size_t kSlack = 256;
+  const size_t budget = shm_capacity > kCountBytes + kSlack
+                            ? shm_capacity - kCountBytes - kSlack
+                            : 0;
+  Chunk c;
+  c.begin = begin;
+  c.end = begin;
+  size_t used = 0;
+  while (c.end < rows.size()) {
+    const size_t row_bytes = ArgRowSerializedSize(rows[c.end]);
+    if (c.end > begin && used + row_bytes > budget) break;
+    used += row_bytes;
+    ++c.end;
+  }
+  c.len = kCountBytes + used;
+  if (c.len > shm_capacity) return OversizedRequest(c.len, shm_capacity);
+  return c;
+}
+
+/// Serializes rows [c.begin, c.end) through `w`, which may back onto ring
+/// memory (fixed) or a private vector (owned).
+void WriteChunk(ArgRows rows, const Chunk& c, BufferWriter* w) {
+  BatchCodec::WriteCount(w, c.end - c.begin);
+  for (size_t row = c.begin; row < c.end; ++row) {
+    w->PutU32(static_cast<uint32_t>(rows[row].size()));
+    for (const Value& v : rows[row]) v.WriteTo(w);
+  }
+}
+
+/// Decodes a count-prefixed batch of result values into `out`, checking the
+/// count against what the request carried. `payload` may be an in-place
+/// view into transport memory (values copy out as they decode).
+Status DecodeResults(Slice payload, Value* out, size_t expected) {
   BufferReader r(payload);
   JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
   if (count != expected) {
@@ -119,13 +117,10 @@ Result<std::vector<Value>> DecodeResultBatch(Slice payload, size_t expected) {
         "executor returned %u results for a batch of %zu",
         static_cast<unsigned>(count), expected));
   }
-  std::vector<Value> results;
-  results.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Value::ReadFrom(&r));
-    results.push_back(std::move(v));
+    JAGUAR_RETURN_IF_ERROR(Value::ReadInto(&r, &out[i]));
   }
-  return results;
+  return Status::OK();
 }
 
 // Callback wire format (child → parent payloads):
@@ -134,10 +129,14 @@ Result<std::vector<Value>> DecodeResultBatch(Slice payload, size_t expected) {
 //                                                      reply: len-prefixed
 constexpr uint8_t kOpCallback = 0;
 constexpr uint8_t kOpFetch = 1;
+constexpr size_t kCallbackBytes = 1 + 8 + 8;
+constexpr size_t kFetchBytes = 1 + 8 + 8 + 8;
 
 /// Child-side handler that forwards UDF callbacks to the parent process over
 /// the channel (each callback is a full round trip — the cost Figure 8
-/// shows dominating IC++).
+/// shows dominating IC++). Requests serialize straight into the to-parent
+/// channel and replies decode in place, so a callback allocates nothing
+/// beyond what FetchBytes returns.
 ///
 /// On the ring transport the parent may have pipelined the *next* request
 /// behind the callback reply (the to-child direction is FIFO), so the round
@@ -149,247 +148,231 @@ class ForwardingCallbackHandler : public UdfCallbackHandler {
       : channel_(channel) {}
 
   Result<int64_t> Callback(int64_t kind, int64_t arg) override {
-    BufferWriter w;
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf,
+                            channel_->PrepareToParent(kCallbackBytes));
+    BufferWriter w(buf, kCallbackBytes);
     w.PutU8(kOpCallback);
     w.PutI64(kind);
     w.PutI64(arg);
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> reply, RoundTrip(w.AsSlice()));
-    BufferReader r((Slice(reply)));
-    return r.ReadI64();
+    JAGUAR_ASSIGN_OR_RETURN(Slice reply, RoundTrip(kCallbackBytes));
+    BufferReader r(reply);
+    Result<int64_t> result = r.ReadI64();
+    channel_->ReleaseInChild();
+    return result;
   }
 
   Result<std::vector<uint8_t>> FetchBytes(int64_t handle, uint64_t offset,
                                           uint64_t len) override {
-    BufferWriter w;
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf,
+                            channel_->PrepareToParent(kFetchBytes));
+    BufferWriter w(buf, kFetchBytes);
     w.PutU8(kOpFetch);
     w.PutI64(handle);
     w.PutU64(offset);
     w.PutU64(len);
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> reply, RoundTrip(w.AsSlice()));
-    BufferReader r((Slice(reply)));
-    JAGUAR_ASSIGN_OR_RETURN(Slice bytes, r.ReadLengthPrefixed());
-    return bytes.ToVector();
+    JAGUAR_ASSIGN_OR_RETURN(Slice reply, RoundTrip(kFetchBytes));
+    BufferReader r(reply);
+    Result<Slice> bytes = r.ReadLengthPrefixed();
+    std::vector<uint8_t> out;
+    if (bytes.ok()) out = bytes->ToVector();
+    channel_->ReleaseInChild();
+    if (!bytes.ok()) return bytes.status();
+    return out;
   }
 
  private:
-  Result<std::vector<uint8_t>> RoundTrip(Slice payload) {
-    JAGUAR_RETURN_IF_ERROR(
-        channel_->SendToParent(ipc::MsgType::kCallbackRequest, payload));
+  /// Commits the callback request prepared in the to-parent channel and
+  /// waits for its reply, returned as an in-place view that the caller
+  /// releases with ReleaseInChild.
+  Result<Slice> RoundTrip(size_t request_len) {
+    JAGUAR_RETURN_IF_ERROR(channel_->CommitToParent(
+        ipc::MsgType::kCallbackRequest, request_len));
     while (true) {
-      JAGUAR_ASSIGN_OR_RETURN(auto msg, channel_->ReceiveFreshInChild());
-      if (msg.first == ipc::MsgType::kRequest) {
-        // A pipelined next request overtook the callback reply; park it for
-        // the child loop and keep waiting.
-        channel_->StashInChild(msg.first, std::move(msg.second));
-        continue;
+      JAGUAR_ASSIGN_OR_RETURN(ipc::Channel::View msg,
+                              channel_->ReceiveFreshViewInChild());
+      switch (msg.first) {
+        case ipc::MsgType::kCallbackReply:
+          return msg.second;
+        case ipc::MsgType::kRequest:
+          // A pipelined next request overtook the callback reply; park a
+          // copy for the child loop and keep waiting.
+          channel_->StashInChild(msg.first, msg.second.ToVector());
+          channel_->ReleaseInChild();
+          break;
+        case ipc::MsgType::kError: {
+          Status error = ipc::DecodeStatus(msg.second);
+          channel_->ReleaseInChild();
+          return error;
+        }
+        default:
+          channel_->ReleaseInChild();
+          return Internal("unexpected message type for callback reply");
       }
-      if (msg.first == ipc::MsgType::kError) {
-        return ipc::DecodeStatus(Slice(msg.second));
-      }
-      if (msg.first != ipc::MsgType::kCallbackReply) {
-        return Internal("unexpected message type for callback reply");
-      }
-      return std::move(msg.second);
     }
   }
 
   ipc::Channel* channel_;
 };
 
-/// Parent-side bridge: decodes a child's callback payload and services it
-/// through the invoking UdfContext (shared by Designs 2 and 4).
-ipc::RemoteExecutor::CallbackHandler MakeParentCallbackBridge(
-    UdfContext* ctx) {
-  return [ctx](Slice payload) -> Result<std::vector<uint8_t>> {
-    BufferReader r(payload);
-    JAGUAR_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());
-    if (op == kOpCallback) {
-      JAGUAR_ASSIGN_OR_RETURN(int64_t kind, r.ReadI64());
-      JAGUAR_ASSIGN_OR_RETURN(int64_t arg, r.ReadI64());
-      JAGUAR_ASSIGN_OR_RETURN(int64_t result, ctx->Callback(kind, arg));
-      BufferWriter reply;
-      reply.PutI64(result);
-      return reply.Release();
-    }
-    if (op == kOpFetch) {
-      JAGUAR_ASSIGN_OR_RETURN(int64_t handle, r.ReadI64());
-      JAGUAR_ASSIGN_OR_RETURN(uint64_t offset, r.ReadU64());
-      JAGUAR_ASSIGN_OR_RETURN(uint64_t len, r.ReadU64());
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                              ctx->FetchBytes(handle, offset, len));
-      BufferWriter reply;
-      reply.PutLengthPrefixed(Slice(bytes));
-      return reply.Release();
-    }
-    return Corruption("unknown callback op from executor child");
-  };
+/// Parent-side bridge: decodes a child's callback request in place,
+/// services it through the invoking UdfContext, and serializes the reply
+/// straight into the to-child channel (shared by Designs 2 and 4).
+Status ServeCallback(UdfContext* ctx, Slice request, ipc::Channel* channel) {
+  if (ctx == nullptr) return InvalidArgument("UDF callback without a context");
+  BufferReader r(request);
+  JAGUAR_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());
+  if (op == kOpCallback) {
+    JAGUAR_ASSIGN_OR_RETURN(int64_t kind, r.ReadI64());
+    JAGUAR_ASSIGN_OR_RETURN(int64_t arg, r.ReadI64());
+    JAGUAR_ASSIGN_OR_RETURN(int64_t result, ctx->Callback(kind, arg));
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, channel->PrepareToChild(8));
+    BufferWriter w(buf, 8);
+    w.PutI64(result);
+    return channel->CommitToChild(ipc::MsgType::kCallbackReply, 8);
+  }
+  if (op == kOpFetch) {
+    JAGUAR_ASSIGN_OR_RETURN(int64_t handle, r.ReadI64());
+    JAGUAR_ASSIGN_OR_RETURN(uint64_t offset, r.ReadU64());
+    JAGUAR_ASSIGN_OR_RETURN(uint64_t len, r.ReadU64());
+    JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                            ctx->FetchBytes(handle, offset, len));
+    const size_t reply_len = 4 + bytes.size();
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, channel->PrepareToChild(reply_len));
+    BufferWriter w(buf, reply_len);
+    w.PutLengthPrefixed(Slice(bytes));
+    return channel->CommitToChild(ipc::MsgType::kCallbackReply, reply_len);
+  }
+  return Corruption("unknown callback op from executor child");
 }
 
-/// One precomputed request chunk: rows [begin, end) and the exact serialized
-/// request size (header + count prefix + rows).
-struct ChunkPlan {
-  size_t begin;
-  size_t end;
-  size_t len;
-};
-
-/// Serializes rows [c.begin, c.end) of `args_batch` through `w`, which may
-/// back onto ring memory (fixed) or a private vector (owned).
-Status SerializeChunk(const ChunkPlan& c,
-                      const std::vector<std::vector<Value>>& args_batch,
-                      const std::function<void(BufferWriter*)>& write_header,
-                      BufferWriter* w) {
-  write_header(w);
-  BatchCodec::WriteCount(w, c.end - c.begin);
-  for (size_t row = c.begin; row < c.end; ++row) {
-    w->PutU32(static_cast<uint32_t>(args_batch[row].size()));
-    for (const Value& v : args_batch[row]) v.WriteTo(w);
-  }
-  if (w->overflowed() || w->size() != c.len) {
-    return Internal("serialized chunk size disagrees with precomputed size");
-  }
-  return Status::OK();
-}
-
-/// Ships `args_batch` through a leased executor, chunked to the shm segment
-/// and pipelined: while the child executes chunk k, the parent serializes
-/// chunk k+1, so for multi-chunk batches the serialization cost hides behind
-/// the child's execution (double buffering across the process boundary).
+/// Ships `rows` through a leased executor and decodes one result per row
+/// into `out`, chunked to the shm segment and pipelined: while the child
+/// executes chunk k, the parent serializes chunk k+1, so for multi-chunk
+/// batches the serialization cost hides behind the child's execution
+/// (double buffering across the process boundary). A scalar invocation is
+/// the one-row, one-chunk case of the same loop.
 ///
-/// Two paths, chosen by the executor's transport:
-///   - zero-copy (ring): each chunk's exact size is precomputed, the chunk
-///     is serialized *directly into the to-child ring* and committed, and —
-///     because the ring holds two maximal frames — chunk k+1 is committed
-///     while chunk k is still executing. Results decode in place from the
-///     ring view. No request or reply buffer exists in the parent.
-///   - message: the classic flow — serialize into a private buffer, send
-///     (copy into shm), serialize the next chunk while the child works.
-///
-/// `write_header` prepends the design-specific request header to each chunk;
-/// `header_bytes` is its serialized size including the count prefix (for the
-/// chunking budget and the exact-size precomputation).
-Result<std::vector<Value>> RunChunkedBatch(
-    ipc::RemoteExecutor* executor,
-    const std::vector<std::vector<Value>>& args_batch, size_t header_bytes,
-    size_t shm_capacity, UdfContext* ctx,
-    const std::function<void(BufferWriter*)>& write_header) {
-  std::vector<Value> results;
-  results.reserve(args_batch.size());
-
-  const bool zero_copy = executor->channel()->zero_copy() &&
-                         executor->send_queue_depth() > 1;
-  if (zero_copy) {
-    // Plan every chunk upfront: exact sizes let us reserve exactly what each
-    // chunk needs in the ring, and an oversized single row fails before
-    // anything has been committed (mid-pipeline failure would leave a chunk
-    // in flight).
-    std::vector<ChunkPlan> chunks;
-    size_t begin = 0;
-    while (begin < args_batch.size()) {
-      const size_t end =
-          BatchChunkEnd(args_batch, begin, header_bytes, shm_capacity);
-      size_t len = header_bytes;
-      for (size_t row = begin; row < end; ++row) {
-        len += ArgRowSerializedSize(args_batch[row]);
-      }
-      if (len > shm_capacity) {
-        return InvalidArgument(StringPrintf(
-            "serialized request (%zu bytes) exceeds channel capacity (%zu)",
-            len, shm_capacity));
-      }
-      chunks.push_back(ChunkPlan{begin, end, len});
-      begin = end;
+/// How a chunk is staged depends on the executor's transport:
+///   - zero-copy (ring): the chunk is serialized *directly into the to-child
+///     ring* and committed at once — because the ring holds two maximal
+///     frames, chunk k+1 is committed while chunk k is still executing.
+///     Results decode in place from the ring view. No request or reply
+///     buffer exists in the parent.
+///   - message: the chunk is serialized into a private buffer and sent (one
+///     copy into shm) once the channel's single slot frees up.
+Status RunChunkedBatch(ipc::RemoteExecutor* executor, ArgRows rows,
+                       Value* out, size_t shm_capacity, UdfContext* ctx) {
+  // Every row must fit a request on its own. Checked before anything is
+  // committed, so an oversized row never strands an earlier chunk in flight.
+  if (rows.size() > 1) {
+    for (const std::vector<Value>& row : rows) {
+      const size_t len = kCountBytes + ArgRowSerializedSize(row);
+      if (len > shm_capacity) return OversizedRequest(len, shm_capacity);
     }
-
-    auto commit = [&](const ChunkPlan& c) -> Status {
-      if (c.end - c.begin > 1) BatchMessages()->Add();
-      JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, executor->PrepareRequest(c.len));
-      BufferWriter w(buf, c.len);
-      JAGUAR_RETURN_IF_ERROR(SerializeChunk(c, args_batch, write_header, &w));
-      JAGUAR_RETURN_IF_ERROR(executor->BeginExecutePrepared(c.len));
-      ZeroCopyBatches()->Add();
+  }
+  const bool in_ring = executor->channel()->zero_copy() &&
+                       executor->send_queue_depth() > 1;
+  std::vector<uint8_t> staged;  // message transport: the next request
+  auto stage = [&](const Chunk& c) -> Status {
+    if (c.end - c.begin > 1) BatchMessages()->Add();
+    if (!in_ring) {
+      BufferWriter w;
+      WriteChunk(rows, c, &w);
+      staged = w.Release();
       return Status::OK();
-    };
-
-    JAGUAR_RETURN_IF_ERROR(commit(chunks[0]));
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      if (i + 1 < chunks.size()) {
-        // Chunk i is in flight; serialize-and-commit chunk i+1 straight into
-        // the ring while the child works on i.
-        JAGUAR_RETURN_IF_ERROR(commit(chunks[i + 1]));
-        PipelinedChunks()->Add();
-      }
-      const size_t expected = chunks[i].end - chunks[i].begin;
-      JAGUAR_RETURN_IF_ERROR(executor->FinishExecuteWith(
-          MakeParentCallbackBridge(ctx),
-          [&results, expected](Slice payload) -> Status {
-            JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> chunk,
-                                    DecodeResultBatch(payload, expected));
-            for (Value& v : chunk) results.push_back(std::move(v));
-            return Status::OK();
-          }));
     }
-    return results;
-  }
-
-  // Message transport: serialize into a private buffer, send, overlap the
-  // next chunk's serialization with the child's execution.
-  auto serialize = [&](size_t chunk_begin, size_t chunk_end) {
-    BufferWriter w;
-    write_header(&w);
-    BatchCodec::WriteCount(&w, chunk_end - chunk_begin);
-    for (size_t row = chunk_begin; row < chunk_end; ++row) {
-      w.PutU32(static_cast<uint32_t>(args_batch[row].size()));
-      for (const Value& v : args_batch[row]) v.WriteTo(&w);
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, executor->PrepareRequest(c.len));
+    BufferWriter w(buf, c.len);
+    WriteChunk(rows, c, &w);
+    if (w.overflowed() || w.size() != c.len) {
+      return Internal("serialized chunk size disagrees with its computed size");
     }
-    return w.Release();
+    JAGUAR_RETURN_IF_ERROR(executor->BeginExecutePrepared(c.len));
+    ZeroCopyBatches()->Add();
+    return Status::OK();
   };
+  auto launch = [&]() -> Status {
+    return in_ring ? Status::OK() : executor->BeginExecute(Slice(staged));
+  };
+  const ipc::RemoteExecutor::CallbackResponder serve =
+      [ctx](Slice request, ipc::Channel* channel) {
+        return ServeCallback(ctx, request, channel);
+      };
 
-  size_t begin = 0;
-  size_t end = BatchChunkEnd(args_batch, begin, header_bytes, shm_capacity);
-  std::vector<uint8_t> request = serialize(begin, end);
+  JAGUAR_ASSIGN_OR_RETURN(Chunk cur, NextChunk(rows, 0, shm_capacity));
+  JAGUAR_RETURN_IF_ERROR(stage(cur));
+  JAGUAR_RETURN_IF_ERROR(launch());
   while (true) {
-    if (end - begin > 1) BatchMessages()->Add();
-    JAGUAR_RETURN_IF_ERROR(executor->BeginExecute(Slice(request)));
-
-    // Chunk `begin..end` is now in flight; serialize the next chunk while
-    // the child works. (Callbacks the child issues meanwhile just wait in
-    // the channel until FinishExecute services them.)
-    const size_t next_begin = end;
-    size_t next_end = next_begin;
-    std::vector<uint8_t> next_request;
-    if (next_begin < args_batch.size()) {
-      next_end =
-          BatchChunkEnd(args_batch, next_begin, header_bytes, shm_capacity);
-      next_request = serialize(next_begin, next_end);
+    // Chunk `cur` is in flight; stage the next one while the child works.
+    // (Callbacks the child issues meanwhile just wait in the channel until
+    // FinishExecuteWith services them.)
+    const bool more = cur.end < rows.size();
+    Chunk next;
+    if (more) {
+      JAGUAR_ASSIGN_OR_RETURN(next, NextChunk(rows, cur.end, shm_capacity));
+      JAGUAR_RETURN_IF_ERROR(stage(next));
       PipelinedChunks()->Add();
     }
-
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                            executor->FinishExecute(
-                                MakeParentCallbackBridge(ctx)));
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> chunk,
-                            DecodeResultBatch(Slice(reply), end - begin));
-    for (Value& v : chunk) results.push_back(std::move(v));
-
-    if (next_begin >= args_batch.size()) break;
-    begin = next_begin;
-    end = next_end;
-    request = std::move(next_request);
+    Value* chunk_out = out + cur.begin;
+    const size_t expected = cur.end - cur.begin;
+    JAGUAR_RETURN_IF_ERROR(executor->FinishExecuteWith(
+        serve, [chunk_out, expected](Slice payload) {
+          return DecodeResults(payload, chunk_out, expected);
+        }));
+    if (!more) return Status::OK();
+    JAGUAR_RETURN_IF_ERROR(launch());
+    cur = next;
   }
-  return results;
 }
 
-/// Reads one argument row (`u32 nargs | values`) off a batch request.
-Result<std::vector<Value>> ReadArgRow(BufferReader* r) {
-  JAGUAR_ASSIGN_OR_RETURN(uint32_t nargs, r->ReadU32());
-  std::vector<Value> args;
-  args.reserve(nargs);
-  for (uint32_t i = 0; i < nargs; ++i) {
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Value::ReadFrom(r));
-    args.push_back(std::move(v));
+/// Leases an executor and runs `rows` through it with the query deadline
+/// (if any) armed on the lease's channel, then settles the lease:
+///   - DeadlineExceeded: the child is still chewing on the UDF (or wedged) —
+///     the watchdog SIGKILLs it via Discard and the pool respawns lazily.
+///     Only this worker's lease dies; concurrent workers' leases are healthy.
+///   - IoError: the child died on its own; discard as before.
+/// Shared by Designs 2 (IC++) and 4 (IJNI) — the two "kill the process"
+/// cells of Table 1's security column.
+Status RunGuardedBatch(ExecutorPool* pool, ArgRows rows, Value* out,
+                       size_t shm_capacity, UdfContext* ctx) {
+  JAGUAR_ASSIGN_OR_RETURN(ExecutorPool::Lease lease, pool->Acquire());
+  ipc::Channel* channel = lease->channel();
+  channel->set_parent_deadline(ctx != nullptr ? ctx->deadline() : nullptr);
+  Status status = RunChunkedBatch(lease.get(), rows, out, shm_capacity, ctx);
+  channel->set_parent_deadline(nullptr);
+  if (status.IsDeadlineExceeded()) {
+    WatchdogKills()->Add();
+    lease.Discard();
+  } else if (status.IsIoError()) {
+    lease.Discard();
   }
-  return args;
+  return status;
+}
+
+/// Argument rows and results of one request, kept per executor child so
+/// that decoding reuses their buffers from one request to the next.
+struct ChildScratch {
+  std::vector<std::vector<Value>> rows;
+  std::vector<Value> outs;
+};
+
+/// Decodes a request's count-prefixed argument rows into `scratch->rows`
+/// and returns the row count.
+Result<size_t> DecodeArgRows(Slice request, ChildScratch* scratch) {
+  BufferReader r(request);
+  JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
+  if (scratch->rows.size() < count) scratch->rows.resize(count);
+  if (scratch->outs.size() < count) scratch->outs.resize(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    JAGUAR_ASSIGN_OR_RETURN(uint32_t nargs, r.ReadU32());
+    if (nargs > r.remaining()) {
+      return Corruption("argument count exceeds the request payload");
+    }
+    std::vector<Value>& args = scratch->rows[i];
+    args.resize(nargs);
+    for (Value& v : args) JAGUAR_RETURN_IF_ERROR(Value::ReadInto(&r, &v));
+  }
+  return static_cast<size_t>(count);
 }
 
 /// Ships a computed result batch back to the parent. On the ring transport
@@ -399,8 +382,8 @@ Result<std::vector<Value>> ReadArgRow(BufferReader* r) {
 /// result value is finished: a held ring reservation would block the child's
 /// own callback sends behind it.
 Result<std::vector<uint8_t>> ShipResultBatch(ipc::Channel* channel,
-                                             const std::vector<Value>& outs) {
-  size_t len = 4;
+                                             std::span<const Value> outs) {
+  size_t len = kCountBytes;
   for (const Value& v : outs) len += v.SerializedSize();
   if (channel->zero_copy() && len <= channel->data_capacity()) {
     JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, channel->PrepareToParent(len));
@@ -425,37 +408,26 @@ Result<std::vector<uint8_t>> ShipResultBatch(ipc::Channel* channel,
 /// of argument rows, each applied with a *fresh* UdfContext (so the
 /// per-invocation callback quota means the same thing in both modes). One
 /// failing row fails the whole request — the parent fails the batch.
+/// `entry` was resolved once, before the executor was forked.
 ///
 /// `request` is an in-place view into transport memory: all rows decode into
-/// owned Values first, then the frame is released *before* any row executes
-/// (decode-then-release), so callbacks and the pipelined next request can
-/// flow through the ring while this batch runs.
-Result<std::vector<uint8_t>> ChildHandleRequest(Slice request,
+/// the scratch Values first, then the frame is released *before* any row
+/// executes (decode-then-release), so callbacks and the pipelined next
+/// request can flow through the ring while this batch runs.
+Result<std::vector<uint8_t>> ChildHandleRequest(const NativeUdfEntry* entry,
+                                                ChildScratch* scratch,
+                                                Slice request,
                                                 ipc::Channel* channel) {
-  BufferReader r(request);
-  JAGUAR_ASSIGN_OR_RETURN(std::string impl_name, r.ReadString());
-  JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
-  std::vector<std::vector<Value>> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> args, ReadArgRow(&r));
-    rows.push_back(std::move(args));
-  }
+  JAGUAR_ASSIGN_OR_RETURN(size_t count, DecodeArgRows(request, scratch));
   channel->ReleaseInChild();
 
-  // Resolve in the child's (fork-inherited) registry.
-  JAGUAR_ASSIGN_OR_RETURN(const NativeUdfEntry* entry,
-                          NativeUdfRegistry::Global()->Lookup(impl_name));
   ForwardingCallbackHandler callbacks(channel);
-  std::vector<Value> outs;
-  outs.reserve(rows.size());
-  for (const std::vector<Value>& args : rows) {
+  for (size_t i = 0; i < count; ++i) {
     UdfContext ctx(&callbacks);
-    Value out;
-    JAGUAR_RETURN_IF_ERROR(entry->fn(args, &ctx, &out));
-    outs.push_back(std::move(out));
+    JAGUAR_RETURN_IF_ERROR(entry->fn(scratch->rows[i], &ctx, &scratch->outs[i]));
   }
-  return ShipResultBatch(channel, outs);
+  return ShipResultBatch(channel,
+                         std::span<const Value>(scratch->outs.data(), count));
 }
 
 }  // namespace
@@ -464,20 +436,26 @@ Result<std::unique_ptr<IsolatedNativeRunner>> IsolatedNativeRunner::Spawn(
     const std::string& impl_name, TypeId return_type,
     std::vector<TypeId> arg_types, size_t shm_capacity, size_t pool_size,
     ipc::Transport transport) {
-  // Fail fast in the parent if the function does not exist (the child would
-  // only discover it at first request).
-  JAGUAR_RETURN_IF_ERROR(
-      NativeUdfRegistry::Global()->Lookup(impl_name).status());
+  // Resolve once, in the parent: a missing function fails here rather than
+  // at the first request, and every executor forked later inherits the
+  // registry entry this pointer names.
+  JAGUAR_ASSIGN_OR_RETURN(const NativeUdfEntry* entry,
+                          NativeUdfRegistry::Global()->Lookup(impl_name));
   auto runner = std::unique_ptr<IsolatedNativeRunner>(
       new IsolatedNativeRunner());
   runner->impl_name_ = impl_name;
   runner->return_type_ = return_type;
   runner->arg_types_ = std::move(arg_types);
   runner->shm_capacity_ = shm_capacity;
+  // One scratch object, copied into each child's address space by fork.
+  auto scratch = std::make_shared<ChildScratch>();
+  ipc::RemoteExecutor::RequestHandler handler =
+      [entry, scratch](Slice request, ipc::Channel* channel) {
+        return ChildHandleRequest(entry, scratch.get(), request, channel);
+      };
   runner->pool_ = std::make_unique<ExecutorPool>(
-      [shm_capacity, transport] {
-        return ipc::RemoteExecutor::Spawn(shm_capacity, &ChildHandleRequest,
-                                          transport);
+      [shm_capacity, handler, transport] {
+        return ipc::RemoteExecutor::Spawn(shm_capacity, handler, transport);
       },
       pool_size);
   // Pre-spawn every executor now (runner creation happens on the query's
@@ -492,9 +470,13 @@ void IsolatedNativeRunner::set_ipc_timeout_seconds(unsigned seconds) {
 
 Result<Value> IsolatedNativeRunner::DoInvoke(const std::vector<Value>& args,
                                              UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> results,
-                          DoInvokeBatch({args}, ctx));
-  return std::move(results[0]);
+  JAGUAR_RETURN_IF_ERROR(CheckUdfArgs(impl_name_, arg_types_, args));
+  Value out;
+  // A transport failure or deadline expiry means the child is dead or must
+  // die; only this worker's invocation fails, and the pool respawns later.
+  JAGUAR_RETURN_IF_ERROR(RunGuardedBatch(pool_.get(), ArgRows(&args, 1), &out,
+                                         shm_capacity_, ctx));
+  return out;
 }
 
 Result<std::vector<Value>> IsolatedNativeRunner::DoInvokeBatch(
@@ -502,13 +484,10 @@ Result<std::vector<Value>> IsolatedNativeRunner::DoInvokeBatch(
   for (const std::vector<Value>& args : args_batch) {
     JAGUAR_RETURN_IF_ERROR(CheckUdfArgs(impl_name_, arg_types_, args));
   }
-  JAGUAR_ASSIGN_OR_RETURN(ExecutorPool::Lease lease, pool_->Acquire());
-
-  const size_t header_bytes = 4 + impl_name_.size() + 4;
-  // A transport failure or deadline expiry means the child is dead or must
-  // die; only this worker's batch fails, and the pool respawns later.
-  return RunGuardedBatch(&lease, args_batch, header_bytes, shm_capacity_, ctx,
-                         [this](BufferWriter* w) { w->PutString(impl_name_); });
+  std::vector<Value> results(args_batch.size());
+  JAGUAR_RETURN_IF_ERROR(RunGuardedBatch(pool_.get(), args_batch,
+                                         results.data(), shm_capacity_, ctx));
+  return results;
 }
 
 UdfManager::RunnerFactory MakeIsolatedRunnerFactory(size_t shm_capacity,
@@ -547,6 +526,7 @@ struct IsolatedVmState {
   std::vector<TypeId> arg_types;
   jvm::ResourceLimits limits;
   jvm::SecurityManager security;
+  ChildScratch scratch;
 };
 
 /// Marshals one argument row into a fresh ExecContext, calls the method,
@@ -603,25 +583,18 @@ Result<Value> ChildRunVmItem(IsolatedVmState* state,
 /// decode-then-release discipline as ChildHandleRequest.
 Result<std::vector<uint8_t>> ChildHandleVmRequest(
     IsolatedVmState* state, Slice request, ipc::Channel* channel) {
-  BufferReader r(request);
-  JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
-  std::vector<std::vector<Value>> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> args, ReadArgRow(&r));
-    rows.push_back(std::move(args));
-  }
+  ChildScratch* scratch = &state->scratch;
+  JAGUAR_ASSIGN_OR_RETURN(size_t count, DecodeArgRows(request, scratch));
   channel->ReleaseInChild();
 
   ForwardingCallbackHandler callbacks(channel);
-  std::vector<Value> outs;
-  outs.reserve(rows.size());
-  for (const std::vector<Value>& args : rows) {
+  for (size_t i = 0; i < count; ++i) {
     UdfContext udf_ctx(&callbacks);
-    JAGUAR_ASSIGN_OR_RETURN(Value out, ChildRunVmItem(state, args, &udf_ctx));
-    outs.push_back(std::move(out));
+    JAGUAR_ASSIGN_OR_RETURN(scratch->outs[i],
+                            ChildRunVmItem(state, scratch->rows[i], &udf_ctx));
   }
-  return ShipResultBatch(channel, outs);
+  return ShipResultBatch(channel,
+                         std::span<const Value>(scratch->outs.data(), count));
 }
 
 }  // namespace
@@ -676,9 +649,11 @@ void IsolatedJvmRunner::set_ipc_timeout_seconds(unsigned seconds) {
 
 Result<Value> IsolatedJvmRunner::DoInvoke(const std::vector<Value>& args,
                                           UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> results,
-                          DoInvokeBatch({args}, ctx));
-  return std::move(results[0]);
+  JAGUAR_RETURN_IF_ERROR(CheckUdfArgs("isolated_jvm_udf", arg_types_, args));
+  Value out;
+  JAGUAR_RETURN_IF_ERROR(RunGuardedBatch(pool_.get(), ArgRows(&args, 1), &out,
+                                         shm_capacity_, ctx));
+  return out;
 }
 
 Result<std::vector<Value>> IsolatedJvmRunner::DoInvokeBatch(
@@ -686,11 +661,10 @@ Result<std::vector<Value>> IsolatedJvmRunner::DoInvokeBatch(
   for (const std::vector<Value>& args : args_batch) {
     JAGUAR_RETURN_IF_ERROR(CheckUdfArgs("isolated_jvm_udf", arg_types_, args));
   }
-  JAGUAR_ASSIGN_OR_RETURN(ExecutorPool::Lease lease, pool_->Acquire());
-
-  const size_t header_bytes = 4;
-  return RunGuardedBatch(&lease, args_batch, header_bytes, shm_capacity_, ctx,
-                         [](BufferWriter*) {});
+  std::vector<Value> results(args_batch.size());
+  JAGUAR_RETURN_IF_ERROR(RunGuardedBatch(pool_.get(), args_batch,
+                                         results.data(), shm_capacity_, ctx));
+  return results;
 }
 
 UdfManager::RunnerFactory MakeIsolatedJvmRunnerFactory(

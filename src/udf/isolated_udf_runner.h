@@ -12,16 +12,23 @@
 /// crossing is what Figures 5 and 8 measure.
 ///
 /// Request/response payloads are uniformly count-prefixed (`BatchCodec`): a
-/// scalar invocation is a batch of one, and `InvokeBatch` ships a whole
-/// argument batch in **one** boundary crossing (chunked only when the
-/// serialized batch would overflow the shared-memory segment) — the Section
-/// 2.5 batching amortization. When a batch spans multiple chunks the
+/// scalar invocation is a batch of one — `DoInvoke` runs the batch path over
+/// a one-row span of the caller's arguments, copying them only into the
+/// channel and decoding the result straight into the returned Value — and
+/// `InvokeBatch` ships a whole argument batch in **one** boundary crossing
+/// (chunked only when the serialized batch would overflow the shared-memory
+/// segment) — the Section 2.5 batching amortization. When a batch spans multiple chunks the
 /// crossing is *pipelined*: the parent serializes chunk k+1 while the child
 /// executes chunk k (double buffering across the boundary). On the default
 /// ring transport the pipeline goes further: chunk k+1 is serialized
 /// *directly into the shared-memory ring* and committed while chunk k is
 /// still executing, and results are decoded in place from the ring — no
 /// intermediate request/reply buffers at all (`ipc.ring.zero_copy_batches`).
+/// Callbacks travel the same way in both directions: serialized into the
+/// ring, read in place. Each executor child decodes requests into buffers it
+/// keeps from one request to the next, and a native child calls the
+/// registry entry its runner resolved once, before forking, so a request
+/// carries argument rows only.
 ///
 /// The runner is backed by an `ExecutorPool` of up to `pool_size` executor
 /// processes, so the N worker threads of a morsel-driven parallel scan can

@@ -265,6 +265,45 @@ TEST_F(DesignsTest, CallbacksReachTheServerFromEveryDesign) {
   EXPECT_EQ(db_->callbacks_served() - before, 2u * 5 + 2u * 7 + 2u * 3);
 }
 
+TEST_F(DesignsTest, OneRowPathPaysExactlyTheCountedCrossings) {
+  // Figures 5 and 8 count one crossing per invocation and two more per
+  // callback. On the scalar path (one tuple per invocation) the parent
+  // commits one request per row and one reply per callback, and leases one
+  // executor per row; the child's frames count in the child's process.
+  constexpr uint64_t kN = 12;
+  for (int i = 0; i < 10; ++i) {
+    MustExecute(StringPrintf("INSERT INTO r VALUES (randbytes(%d, %d))",
+                             1 + 37 * i, 40 + i));
+  }
+  RegisterGeneric("g_ic", UdfLanguage::kNativeIsolated);
+  RegisterGeneric("g_ijni", UdfLanguage::kJJavaIsolated);
+  auto delta = [](const QueryResult& r, const std::string& name) {
+    auto it = r.metrics_delta.find(name);
+    return it != r.metrics_delta.end() ? it->second : uint64_t{0};
+  };
+  for (uint64_t c : {0, 1, 3}) {
+    const std::string call = StringPrintf("(b, 7, 2, %d)", static_cast<int>(c));
+    QueryResult native = MustExecute("SELECT generic_udf" + call + " FROM r");
+    ASSERT_EQ(native.rows.size(), kN);
+    for (const char* name : {"g_ic", "g_ijni"}) {
+      const uint64_t served_before = db_->callbacks_served();
+      QueryResult r = MustExecute(std::string("SELECT ") + name + call +
+                                  " FROM r");
+      EXPECT_EQ(delta(r, "ipc.shm.messages"), kN * (1 + c))
+          << name << " c=" << c;
+      EXPECT_EQ(delta(r, "udf.pool.acquires"), kN) << name << " c=" << c;
+      EXPECT_EQ(db_->callbacks_served() - served_before, kN * c)
+          << name << " c=" << c;
+      ASSERT_EQ(r.rows.size(), native.rows.size()) << name;
+      for (size_t i = 0; i < r.rows.size(); ++i) {
+        EXPECT_EQ(Slice(r.rows[i].Serialize()).ToString(),
+                  Slice(native.rows[i].Serialize()).ToString())
+            << name << " c=" << c << " row " << i;
+      }
+    }
+  }
+}
+
 TEST_F(DesignsTest, Design4FaultsStayInTheChild) {
   // A runtime fault in the isolated VM fails the query; both the executor
   // child and the server survive (double isolation).

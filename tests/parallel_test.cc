@@ -209,6 +209,27 @@ TEST_F(ParallelTest, OrderByLimitAndAggregatesRunParallel) {
   EXPECT_GE(MetricDelta(agg, "exec.agg.partial_merges"), 1u);
 }
 
+TEST_F(ParallelTest, ParallelTuplesCountsEveryExaminedRecord) {
+  // exec.parallel.tuples follows the exec.seqscan.tuples definition: every
+  // record a morsel examines, dropped ones too, whether the plan above the
+  // scan aggregates or sorts.
+  QueryResult grouped = MustExecute(
+      parallel_db_.get(),
+      "SELECT length(b) % 3, COUNT(*) FROM r GROUP BY length(b) % 3");
+  EXPECT_GE(MetricDelta(grouped, "exec.agg.parallel_queries"), 1u);
+  EXPECT_EQ(MetricDelta(grouped, "exec.parallel.tuples"),
+            static_cast<uint64_t>(kRows));
+
+  // The WHERE drops every row; each was still examined.
+  QueryResult sorted = MustExecute(
+      parallel_db_.get(),
+      "SELECT length(b) FROM r WHERE length(b) > 5000 ORDER BY length(b)");
+  EXPECT_GE(MetricDelta(sorted, "exec.sort.parallel_queries"), 1u);
+  EXPECT_EQ(sorted.rows.size(), 0u);
+  EXPECT_EQ(MetricDelta(sorted, "exec.parallel.tuples"),
+            static_cast<uint64_t>(kRows));
+}
+
 TEST_F(ParallelTest, ScanPrefixOverOverflowRowsMatchesSerial) {
   // Every third row carries a 10 KB array, so morsels mix inline records
   // with overflow records whose chains a scan prefix may leave unread.

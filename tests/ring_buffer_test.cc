@@ -1,9 +1,10 @@
 /// Unit + property tests for the SPSC shared-memory ring buffer behind the
 /// "ring" IPC transport: frame round-trips, zero-copy reserve/commit,
 /// wraparound at every buffer offset, corrupted-frame rejection (seeded bit
-/// flips), flow control, out-of-order release safety, and a two-thread FIFO
-/// stress that doubles as the TSan race test (test names carry "Ring" so the
-/// CI TSan job's regex picks them up).
+/// flips, a corrupt seq word), the frame CRC's hardware and table paths,
+/// flow control, out-of-order release safety, and a two-thread FIFO stress
+/// that doubles as the TSan race test (test names carry "Ring" so the CI
+/// TSan job's regex picks them up).
 
 #include "common/ring_buffer.h"
 
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "obs/metrics.h"
 
 namespace jaguar {
@@ -82,7 +84,9 @@ TEST(RingBufferTest, RoundTripsFramesOfEverySize) {
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->type, 17u);
     ASSERT_EQ(frame->payload.size(), len);
-    EXPECT_EQ(0, std::memcmp(frame->payload.data(), payload.data(), len));
+    // Compared as vectors: memcmp on an empty vector's null data() is
+    // undefined even for length 0.
+    EXPECT_EQ(frame->payload.ToVector(), payload);
     h.ring()->Release(frame->end_pos);
   }
 }
@@ -159,19 +163,19 @@ TEST(RingBufferTest, WraparoundSweepVisitsEveryOffset) {
   RingHarness h(4096, 1024, stats);
   ASSERT_TRUE(h.init_status().ok());
   const SpscRingBuffer::WaitOptions w = QuickWait();
-  // Pad(12 + 28) = 40; gcd(40, 4096) = 8, so 512 frames cycle the start
+  // Pad(16 + 24) = 40; gcd(40, 4096) = 8, so 512 frames cycle the start
   // offset through all 512 aligned positions. Run two full cycles.
   const size_t kFrames = 1024;
   for (size_t i = 0; i < kFrames; ++i) {
-    std::vector<uint8_t> payload = PatternPayload(28, static_cast<uint32_t>(i));
+    std::vector<uint8_t> payload = PatternPayload(24, static_cast<uint32_t>(i));
     ASSERT_TRUE(h.ring()->Write(static_cast<uint32_t>(i), Slice(payload), w)
                     .ok())
         << i;
     auto frame = h.ring()->Read(w);
     ASSERT_TRUE(frame.ok()) << i << ": " << frame.status().ToString();
     EXPECT_EQ(frame->type, static_cast<uint32_t>(i));
-    ASSERT_EQ(frame->payload.size(), 28u);
-    EXPECT_EQ(0, std::memcmp(frame->payload.data(), payload.data(), 28)) << i;
+    ASSERT_EQ(frame->payload.size(), 24u);
+    EXPECT_EQ(0, std::memcmp(frame->payload.data(), payload.data(), 24)) << i;
     h.ring()->Release(frame->end_pos);
   }
   // 1024 frames of stride 40 cover ~40 KB through a 4 KB ring: ≥9 wraps.
@@ -207,6 +211,50 @@ TEST(RingBufferTest, SeededBitFlipsInFramesAreRejected) {
         << "iter " << iter << ": flipped bit " << bit << " of " << frame_bytes
         << "-byte frame decoded anyway";
     EXPECT_TRUE(frame.status().IsCorruption()) << frame.status().ToString();
+  }
+}
+
+/// The seq word signals publication, so a corrupt one could look like a
+/// frame that has not arrived yet. The published tail tells them apart: the
+/// reader must report Corruption before it parks, not wait out its budget.
+TEST(RingBufferTest, CorruptSeqWordIsCorruptionNotATimeout) {
+  RingHarness h(4096, 512);
+  ASSERT_TRUE(h.init_status().ok());
+  SpscRingBuffer::WaitOptions w;
+  w.budget_ns = 20ll * 1000000000;
+  std::vector<uint8_t> payload = PatternPayload(40, 3);
+  ASSERT_TRUE(h.ring()->Write(2, Slice(payload), w).ok());
+  h.data()[SpscRingBuffer::kSeqOffset + 1] ^= 0x10;
+
+  const auto start = std::chrono::steady_clock::now();
+  auto frame = h.ring()->Read(w);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsCorruption()) << frame.status().ToString();
+  // Detected before the first ~100 ms park slice, far inside the budget.
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+}
+
+/// The ring's frame CRC is CRC-32C, computed by the CPU instruction where
+/// there is one; the table loop must agree with it bit for bit, over every
+/// length a frame's CRC window can cover, from unaligned starts.
+TEST(RingCrc32cTest, HardwareAndPortablePathsAgree) {
+  const char* check = "123456789";  // the standard CRC-32C check value
+  EXPECT_EQ(internal::Crc32cPortable(check, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  std::mt19937 rng(0xC5C32C);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t len = 0; len <= 1100; ++len) {
+    const size_t offset = len % 8;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    const uint8_t* p = buf.data() + offset;
+    ASSERT_EQ(internal::Crc32cHardware(p, len, seed),
+              internal::Crc32cPortable(p, len, seed))
+        << "len " << len << " offset " << offset;
   }
 }
 
@@ -303,8 +351,7 @@ TEST(RingBufferStressTest, TwoThreadFifoOrderAndContent) {
     EXPECT_EQ(frame->type, i);  // strict FIFO
     const size_t len = (i * 17) % 1500;
     ASSERT_EQ(frame->payload.size(), len) << i;
-    std::vector<uint8_t> expect = PatternPayload(len, i);
-    ASSERT_EQ(0, std::memcmp(frame->payload.data(), expect.data(), len)) << i;
+    ASSERT_EQ(frame->payload.ToVector(), PatternPayload(len, i)) << i;
     h.ring()->Release(frame->end_pos);
   }
   producer.join();
