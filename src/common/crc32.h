@@ -2,31 +2,44 @@
 #define JAGUAR_COMMON_CRC32_H_
 
 /// \file crc32.h
-/// CRC-32 (the reflected 0xEDB88320 polynomial, as used by zlib) over a byte
-/// range. Used to frame write-ahead log records so a torn append is detected
-/// by the recovery tail scan instead of being replayed as garbage. (The IPC
-/// ring's frame CRC never leaves memory and uses CRC-32C, crc32c.h.)
+/// Two reflected CRC-32 checksums over a byte range:
+///  - `Crc32`, zlib's polynomial 0xEDB88320, frames write-ahead log records
+///    so a torn append is detected by the recovery tail scan instead of
+///    being replayed as garbage. Its checksums live on disk.
+///  - `Crc32c`, the Castagnoli polynomial 0x82F63B78, frames the IPC ring's
+///    records. Its checksums never leave memory, so it can use the CPU's
+///    CRC32 instruction (SSE4.2 on x86-64) where there is one.
 ///
-/// The bulk path uses slicing-by-8 (eight precomputed tables, one 64-bit
-/// chunk per iteration) — ~8x the throughput of the classic byte-at-a-time
-/// loop while producing bit-identical results, so existing WAL files stay
-/// readable. Big-endian hosts fall back to the bytewise loop.
+/// Both share one table loop, slicing-by-8 (eight precomputed tables, one
+/// 64-bit chunk per iteration) — ~8x the throughput of the classic
+/// byte-at-a-time loop while producing bit-identical results, so existing
+/// WAL files stay readable. Big-endian hosts fall back to the bytewise loop.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define JAGUAR_CRC32C_X86 1
+#endif
+
 namespace jaguar {
 
 namespace internal {
-inline const std::array<std::array<uint32_t, 256>, 8>& Crc32Tables() {
+
+inline constexpr uint32_t kCrc32Poly = 0xEDB88320u;   ///< zlib
+inline constexpr uint32_t kCrc32cPoly = 0x82F63B78u;  ///< Castagnoli
+
+template <uint32_t Poly>
+const std::array<std::array<uint32_t, 256>, 8>& CrcTables() {
   static const std::array<std::array<uint32_t, 256>, 8> tables = [] {
     std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        c = (c & 1) ? Poly ^ (c >> 1) : c >> 1;
       }
       t[0][i] = c;
     }
@@ -41,12 +54,11 @@ inline const std::array<std::array<uint32_t, 256>, 8>& Crc32Tables() {
   }();
   return tables;
 }
-}  // namespace internal
 
-/// CRC of `len` bytes at `data`; `seed` allows incremental computation by
-/// passing a previous result.
-inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
-  const auto& t = internal::Crc32Tables();
+/// The table loop for the reflected polynomial `Poly`; every host runs it.
+template <uint32_t Poly>
+uint32_t CrcTable(const void* data, size_t len, uint32_t seed) {
+  const auto& t = CrcTables<Poly>();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
 #if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
@@ -67,6 +79,62 @@ inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
     c = t[0][(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+/// True when `Crc32cHardware` runs the CPU's CRC32 instruction.
+inline bool Crc32cHardwareAvailable() {
+#if defined(JAGUAR_CRC32C_X86)
+  static const bool available = [] {
+    __builtin_cpu_init();  // safe even if the first call runs before main
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+/// CRC-32C on the CPU instruction; only meaningful when
+/// `Crc32cHardwareAvailable()` (otherwise it runs the table loop).
+#if defined(JAGUAR_CRC32C_X86)
+__attribute__((target("sse4.2")))
+#endif
+inline uint32_t Crc32cHardware(const void* data, size_t len, uint32_t seed) {
+#if defined(JAGUAR_CRC32C_X86)
+  if (Crc32cHardwareAvailable()) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    uint64_t c = seed ^ 0xFFFFFFFFu;
+    for (; len >= 8; p += 8, len -= 8) {
+      uint64_t v;
+      std::memcpy(&v, p, 8);
+      c = _mm_crc32_u64(c, v);
+    }
+    uint32_t c32 = static_cast<uint32_t>(c);
+    if (len >= 4) {
+      uint32_t v;
+      std::memcpy(&v, p, 4);
+      c32 = _mm_crc32_u32(c32, v);
+      p += 4;
+      len -= 4;
+    }
+    for (; len > 0; ++p, --len) c32 = _mm_crc32_u8(c32, *p);
+    return c32 ^ 0xFFFFFFFFu;
+  }
+#endif
+  return CrcTable<kCrc32cPoly>(data, len, seed);
+}
+
+}  // namespace internal
+
+/// zlib's CRC-32 of `len` bytes at `data`; `seed` allows incremental
+/// computation by passing a previous result.
+inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
+  return internal::CrcTable<internal::kCrc32Poly>(data, len, seed);
+}
+
+/// CRC-32C of `len` bytes at `data`; `seed` continues a previous result.
+inline uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0) {
+  return internal::Crc32cHardware(data, len, seed);
 }
 
 }  // namespace jaguar

@@ -34,18 +34,31 @@
 /// release order; the consumer waits on the seq word *at its own read
 /// position* with acquire loads until it holds the tag that position
 /// expects, so the frame's cache line is the only one a crossing moves to
-/// the consumer. Tags are a lap-unique function of the position, so a stale
-/// header from an earlier lap never matches. The producer keeps its tail
+/// the consumer. Tags are a lap-unique function of the position and a
+/// random per-ring salt, so a header from an earlier lap never matches and
+/// row bytes placed to match must guess the salt. The producer keeps its tail
 /// privately and a cached copy of the consumer's `head`, re-reading the
 /// shared `head` only when the cached copy says the ring is full. It still
-/// stores the shared `tail` after each publish, but the consumer reads it
-/// only before parking: a published tail past a header whose seq does not
-/// match means the header is corrupt (Corruption), not late.
+/// stores the shared `tail` after each publish; the consumer reads it only
+/// to tell a late header from a bad one:
+///  - a seq word that does not match below a published tail is corrupt
+///    (Corruption), checked before each park;
+///  - a seq word that matches can still be stale bytes left from an earlier
+///    lap that hold the tag by chance (about 2^-32 per frame on random
+///    payload bytes). Their header then fails validation, so on any
+///    validation failure the consumer waits for the tail to pass the header
+///    (at once if it has) and validates it again; only a header that fails
+///    after the tail passed it is reported as Corruption.
+///    Header words are atomic so such an early read is not a data race on
+///    them; the payload bytes the CRC read are discarded with the header, as
+///    in a seqlock's optimistic read.
 ///
 /// Memory ordering (the lost-wakeup argument): publishing and parking form a
 /// Dekker-style handshake through two seq_cst fences —
-///   producer: seq.store(release); fence; consumer_parked.load
+///   producer: seq.store(release); tail.store; fence; consumer_parked.load
 ///   consumer: consumer_parked.store; fence; seq.load(acquire); futex_wait
+/// (The consumer's wait for the tail after a stale match is the same
+/// handshake with tail in place of seq.)
 /// If the consumer's seq load misses the producer's store, the fence order
 /// puts the consumer's fence first, so the producer's parked load observes
 /// the flag and it bumps data_seq and wakes. If the wake races the consumer
@@ -73,12 +86,13 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <new>
+#include <random>
 #include <thread>
 #include <utility>
-#include <vector>
 
-#include "common/crc32c.h"
+#include "common/crc32.h"
 #include "common/deadline.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -191,6 +205,7 @@ class SpscRingBuffer {
       return IoError("sem_init for ring buffer failed");
     }
     data_ = static_cast<uint8_t*>(mem) + sizeof(Control);
+    salt_ = std::random_device{}();
     cap_ = capacity;
     mask_ = capacity - 1;
     max_payload_ = max_payload;
@@ -294,6 +309,7 @@ class SpscRingBuffer {
   /// is recycled only as the oldest unreleased frame is released, so views
   /// stay valid in FIFO order.
   Result<Frame> Read(const WaitOptions& w) {
+    uint64_t published = ~0ull;  // a position the tail is known to have passed
     while (true) {
       const uint64_t pos = read_pos_;
       const uint64_t idx = pos & mask_;
@@ -318,28 +334,28 @@ class SpscRingBuffer {
             },
             &ctl_->data_seq, &ctl_->consumer_parked, &ctl_->data_sem, w));
       }
-      const uint32_t len = LoadU32(hdr);
-      const uint32_t type = LoadU32(hdr + 4);
-      const uint32_t crc = LoadU32(hdr + 8);
+      const uint32_t len = LoadWord(hdr);
+      const uint32_t type = LoadWord(hdr + 4);
+      Status bad = CheckHeader(hdr, len, type, tag, room);
+      if (!bad.ok()) {
+        if (published == pos) return bad;
+        // The seq word may be stale bytes that hold the tag by chance; only
+        // a header the tail has passed is corrupt. Wait for the tail to pass
+        // this one (at once if it already has), then check it again.
+        JAGUAR_RETURN_IF_ERROR(WaitFor(
+            [this, pos] {
+              return ctl_->tail.load(std::memory_order_acquire) > pos;
+            },
+            [] { return Status::OK(); }, &ctl_->data_seq,
+            &ctl_->consumer_parked, &ctl_->data_sem, w));
+        published = pos;
+        continue;
+      }
       if (len == kWrapMarker) {
-        if (crc != FrameCrc(len, type, tag, nullptr, 0)) {
-          return Corruption("ring wrap marker CRC mismatch");
-        }
         read_pos_ = pos + room;
         continue;
       }
-      if (len > max_payload_) {
-        return Corruption(StringPrintf(
-            "ring frame length %u exceeds max payload %llu", len,
-            static_cast<unsigned long long>(max_payload_)));
-      }
       const uint64_t padded = Pad(kHeaderBytes + len);
-      if (padded > room) {
-        return Corruption("ring frame extends past the end of the buffer");
-      }
-      if (crc != FrameCrc(len, type, tag, hdr + kHeaderBytes, len)) {
-        return Corruption("ring frame CRC mismatch (torn or corrupt frame)");
-      }
       Frame f;
       f.type = type;
       f.payload = Slice(hdr + kHeaderBytes, len);
@@ -354,27 +370,20 @@ class SpscRingBuffer {
   /// released out of read order; the shared head only advances over the
   /// released prefix, so an earlier still-held view is never recycled.
   void Release(uint64_t end_pos) {
-    for (size_t i = pending_front_; i < pending_.size(); ++i) {
-      if (pending_[i].first == end_pos) {
-        pending_[i].second = true;
+    for (auto& e : pending_) {
+      if (e.first == end_pos) {
+        e.second = true;
         break;
       }
     }
     uint64_t new_head = 0;
     bool advanced = false;
-    while (pending_front_ < pending_.size() && pending_[pending_front_].second) {
-      new_head = pending_[pending_front_].first;
-      ++pending_front_;
+    while (!pending_.empty() && pending_.front().second) {
+      new_head = pending_.front().first;
+      pending_.pop_front();
       advanced = true;
     }
     if (!advanced) return;
-    if (pending_front_ == pending_.size()) {
-      pending_.clear();  // keeps its capacity: no allocation per frame
-      pending_front_ = 0;
-    } else if (pending_front_ > 64 && 2 * pending_front_ > pending_.size()) {
-      pending_.erase(pending_.begin(), pending_.begin() + pending_front_);
-      pending_front_ = 0;
-    }
     ctl_->head.store(new_head, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (ctl_->producer_parked.load(std::memory_order_relaxed) != 0) {
@@ -383,16 +392,17 @@ class SpscRingBuffer {
     }
   }
 
- private:
   /// The seq word a header at position `pos` carries once published. Two
   /// positions that share a buffer index differ by a multiple of the
   /// capacity (>= 4096), so their tags differ for the first 64 GB of
-  /// traffic. The salt keeps small integers — lengths and counts in stale
-  /// payload bytes — from matching, and the low bit keeps zeroed memory
-  /// from matching.
-  static uint32_t SeqTag(uint64_t pos) {
-    return (static_cast<uint32_t>(pos >> 4) ^ 0x9E3779B9u) | 1u;
+  /// traffic. The ring's random salt keeps small integers in stale payload
+  /// bytes, and bytes placed there on purpose, from matching; the low bit
+  /// keeps zeroed memory from matching.
+  uint32_t SeqTag(uint64_t pos) const {
+    return (static_cast<uint32_t>(pos >> 4) ^ salt_) | 1u;
   }
+
+ private:
 
   static void StoreU32(uint8_t* p, uint32_t v) {
     p[0] = static_cast<uint8_t>(v);
@@ -400,15 +410,18 @@ class SpscRingBuffer {
     p[2] = static_cast<uint8_t>(v >> 16);
     p[3] = static_cast<uint8_t>(v >> 24);
   }
-  static uint32_t LoadU32(const uint8_t* p) {
-    return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
+  /// Header words are accessed atomically (they are 4-aligned: headers
+  /// start 8-aligned). The seq word orders the others: release on store,
+  /// acquire on load. The rest are relaxed; they are atomic only because a
+  /// consumer that matched stale seq bytes may read them while the producer
+  /// writes them (see the file comment).
+  static uint32_t LoadWord(const uint8_t* p) {
+    return __atomic_load_n(reinterpret_cast<const uint32_t*>(p),
+                           __ATOMIC_RELAXED);
   }
-
-  /// The seq word is the only header field two processes touch
-  /// concurrently, so it alone is accessed atomically (it is 4-aligned:
-  /// headers start 8-aligned).
+  static void StoreWord(uint8_t* p, uint32_t v) {
+    __atomic_store_n(reinterpret_cast<uint32_t*>(p), v, __ATOMIC_RELAXED);
+  }
   static uint32_t LoadSeq(const uint8_t* hdr) {
     return __atomic_load_n(
         reinterpret_cast<const uint32_t*>(hdr + kSeqOffset), __ATOMIC_ACQUIRE);
@@ -428,16 +441,42 @@ class SpscRingBuffer {
     return Crc32c(payload, covered, Crc32c(hdr, sizeof(hdr)));
   }
 
+  /// Validates the header at `hdr`, `room` bytes before the end of the
+  /// buffer, whose seq word holds `tag`: a wrap marker's CRC, or a frame's
+  /// length and CRC.
+  Status CheckHeader(const uint8_t* hdr, uint32_t len, uint32_t type,
+                     uint32_t tag, uint64_t room) const {
+    const uint32_t crc = LoadWord(hdr + 8);
+    if (len == kWrapMarker) {
+      if (crc != FrameCrc(len, type, tag, nullptr, 0)) {
+        return Corruption("ring wrap marker CRC mismatch");
+      }
+      return Status::OK();
+    }
+    if (len > max_payload_) {
+      return Corruption(StringPrintf(
+          "ring frame length %u exceeds max payload %llu", len,
+          static_cast<unsigned long long>(max_payload_)));
+    }
+    if (Pad(kHeaderBytes + len) > room) {
+      return Corruption("ring frame extends past the end of the buffer");
+    }
+    if (crc != FrameCrc(len, type, tag, hdr + kHeaderBytes, len)) {
+      return Corruption("ring frame CRC mismatch (torn or corrupt frame)");
+    }
+    return Status::OK();
+  }
+
   /// Fills in and publishes the header at `pos`; `padded` is the frame's
   /// size (0 for a wrap marker, whose CRC covers the header alone).
   void WriteHeader(uint64_t pos, uint32_t len, uint32_t type,
                    uint64_t padded) {
     uint8_t* hdr = data_ + (pos & mask_);
     const uint32_t tag = SeqTag(pos);
-    StoreU32(hdr, len);
-    StoreU32(hdr + 4, type);
-    StoreU32(hdr + 8, FrameCrc(len, type, tag, hdr + kHeaderBytes,
-                               padded == 0 ? 0 : len));
+    StoreWord(hdr, len);
+    StoreWord(hdr + 4, type);
+    StoreWord(hdr + 8, FrameCrc(len, type, tag, hdr + kHeaderBytes,
+                                padded == 0 ? 0 : len));
     StoreSeq(hdr, tag);
   }
 
@@ -556,6 +595,7 @@ class SpscRingBuffer {
   uint64_t cap_ = 0;
   uint64_t mask_ = 0;
   uint64_t max_payload_ = 0;
+  uint32_t salt_ = 0;
   RingStats stats_;
 
   // Producer-local state (each forked process has its own copy; only the
@@ -568,10 +608,9 @@ class SpscRingBuffer {
   bool prep_live_ = false;
 
   // Consumer-local read cursor and outstanding (end_pos, released) frames,
-  // oldest at `pending_front_`.
+  // oldest first.
   uint64_t read_pos_ = 0;
-  std::vector<std::pair<uint64_t, bool>> pending_;
-  size_t pending_front_ = 0;
+  std::deque<std::pair<uint64_t, bool>> pending_;
 };
 
 }  // namespace jaguar

@@ -349,8 +349,10 @@ Status RunGuardedBatch(ExecutorPool* pool, ArgRows rows, Value* out,
   return status;
 }
 
-/// Argument rows and results of one request, kept per executor child so
-/// that decoding reuses their buffers from one request to the next.
+/// Argument rows and result slots of one request, kept per executor child
+/// so that decoding reuses the argument buffers from one request to the
+/// next. A result slot is reset to NULL before each call, so a UDF sees the
+/// same fresh `*out` as in process.
 struct ChildScratch {
   std::vector<std::vector<Value>> rows;
   std::vector<Value> outs;
@@ -424,6 +426,7 @@ Result<std::vector<uint8_t>> ChildHandleRequest(const NativeUdfEntry* entry,
   ForwardingCallbackHandler callbacks(channel);
   for (size_t i = 0; i < count; ++i) {
     UdfContext ctx(&callbacks);
+    scratch->outs[i] = Value();
     JAGUAR_RETURN_IF_ERROR(entry->fn(scratch->rows[i], &ctx, &scratch->outs[i]));
   }
   return ShipResultBatch(channel,

@@ -304,6 +304,52 @@ TEST_F(DesignsTest, OneRowPathPaysExactlyTheCountedCrossings) {
   }
 }
 
+/// Sets `*out` only for arguments of at least 10 bytes and otherwise leaves
+/// it as the caller passed it.
+Status LengthIfLongUdf(const std::vector<Value>& args, UdfContext* ctx,
+                       Value* out) {
+  (void)ctx;
+  const size_t len = args[0].AsBytes().size();
+  if (len >= 10) *out = Value::Int(static_cast<int64_t>(len));
+  return Status::OK();
+}
+
+TEST_F(DesignsTest, IsolatedNativeUdfGetsAFreshResultPerRow) {
+  // Design 1 hands every call a fresh NULL `*out`; the executor child must
+  // too, or a UDF that returns NULL by leaving it alone would repeat the
+  // previous row's result.
+  static const bool registered = NativeUdfRegistry::Global()
+                                     ->Register({"length_if_long_udf",
+                                                 TypeId::kInt,
+                                                 {TypeId::kBytes},
+                                                 &LengthIfLongUdf})
+                                     .ok();
+  ASSERT_TRUE(registered);
+  MustExecute("INSERT INTO r VALUES (randbytes(3, 23)), (randbytes(300, 24)), "
+              "(randbytes(3, 25))");
+  for (UdfLanguage lang :
+       {UdfLanguage::kNative, UdfLanguage::kNativeIsolated}) {
+    UdfInfo info;
+    info.name = lang == UdfLanguage::kNative ? "long_len" : "long_len_ic";
+    info.language = lang;
+    info.return_type = TypeId::kInt;
+    info.arg_types = {TypeId::kBytes};
+    info.impl_name = "length_if_long_udf";
+    ASSERT_TRUE(db_->RegisterUdf(info).ok()) << info.name;
+  }
+  QueryResult native = MustExecute("SELECT long_len(b) FROM r");
+  QueryResult isolated = MustExecute("SELECT long_len_ic(b) FROM r");
+  ASSERT_EQ(native.rows.size(), 5u);
+  ASSERT_EQ(isolated.rows.size(), native.rows.size());
+  int nulls = 0;
+  for (size_t i = 0; i < native.rows.size(); ++i) {
+    nulls += native.rows[i].value(0).is_null() ? 1 : 0;
+    EXPECT_TRUE(isolated.rows[i].value(0).Equals(native.rows[i].value(0)))
+        << "row " << i;
+  }
+  EXPECT_EQ(nulls, 2);
+}
+
 TEST_F(DesignsTest, Design4FaultsStayInTheChild) {
   // A runtime fault in the isolated VM fails the query; both the executor
   // child and the server survive (double isolation).

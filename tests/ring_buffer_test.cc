@@ -1,7 +1,7 @@
 /// Unit + property tests for the SPSC shared-memory ring buffer behind the
 /// "ring" IPC transport: frame round-trips, zero-copy reserve/commit,
 /// wraparound at every buffer offset, corrupted-frame rejection (seeded bit
-/// flips, a corrupt seq word), the frame CRC's hardware and table paths,
+/// flips, a corrupt seq word, a stale matching seq word), the frame CRC's hardware and table paths,
 /// flow control, out-of-order release safety, and a two-thread FIFO stress
 /// that doubles as the TSan race test (test names carry "Ring" so the CI
 /// TSan job's regex picks them up).
@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/crc32c.h"
+#include "common/crc32.h"
 #include "obs/metrics.h"
 
 namespace jaguar {
@@ -235,13 +235,82 @@ TEST(RingBufferTest, CorruptSeqWordIsCorruptionNotATimeout) {
   EXPECT_LT(waited, std::chrono::milliseconds(100));
 }
 
+/// A matching seq word is not proof of publication: bytes left from an
+/// earlier lap can hold the tag the next read position expects. Whatever
+/// the rest of such a header says, the reader must wait for the frame the
+/// producer has yet to publish there, not report Corruption.
+TEST(RingBufferTest, StaleSeqTagWaitsForThePublishedFrame) {
+  struct Planted {
+    const char* what;
+    uint32_t len;
+  };
+  const Planted cases[] = {
+      {"zero header (CRC mismatch)", 0},
+      {"length beyond max payload", 513},
+      {"frame past the buffer end", 504},
+      {"wrap marker (marker CRC mismatch)", SpscRingBuffer::kWrapMarker},
+  };
+  for (const Planted& c : cases) {
+    SCOPED_TRACE(c.what);
+    RingHarness h(4096, 512);
+    ASSERT_TRUE(h.init_status().ok());
+    SpscRingBuffer::WaitOptions w;
+    w.budget_ns = 20ll * 1000000000;
+    // Move the read position to the last 256 bytes of the buffer, where a
+    // 504-byte frame cannot fit: seven 512-byte frames and one of 256.
+    uint64_t pos = 0;
+    for (size_t len : {496, 496, 496, 496, 496, 496, 496, 240}) {
+      std::vector<uint8_t> filler = PatternPayload(len, 1);
+      ASSERT_TRUE(h.ring()->Write(1, Slice(filler), w).ok());
+      auto frame = h.ring()->Read(w);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      h.ring()->Release(frame->end_pos);
+      pos = frame->end_pos;
+    }
+    ASSERT_EQ(pos, 3840u);
+
+    uint8_t header[SpscRingBuffer::kHeaderBytes] = {};
+    std::memcpy(header, &c.len, 4);
+    const uint32_t tag = h.ring()->SeqTag(pos);
+    std::memcpy(header + SpscRingBuffer::kSeqOffset, &tag, 4);
+    std::memcpy(h.data() + pos, header, sizeof(header));
+
+    std::atomic<bool> returned{false};
+    Status status = Status::OK();
+    uint32_t type = 0;
+    std::vector<uint8_t> seen;
+    std::thread consumer([&] {
+      auto frame = h.ring()->Read(w);
+      if (frame.ok()) {
+        type = frame->type;
+        seen.assign(frame->payload.data(),
+                    frame->payload.data() + frame->payload.size());
+      } else {
+        status = frame.status();
+      }
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_FALSE(returned.load()) << "Read returned on stale bytes";
+    std::vector<uint8_t> payload = PatternPayload(40, 9);
+    EXPECT_TRUE(h.ring()->Write(7, Slice(payload), w).ok());
+    consumer.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(type, 7u);
+    EXPECT_EQ(seen, payload);
+  }
+}
+
 /// The ring's frame CRC is CRC-32C, computed by the CPU instruction where
 /// there is one; the table loop must agree with it bit for bit, over every
-/// length a frame's CRC window can cover, from unaligned starts.
+/// length a frame's CRC window can cover, from unaligned starts. (The WAL's
+/// zlib CRC shares the table loop; its check value guards the template.)
 TEST(RingCrc32cTest, HardwareAndPortablePathsAgree) {
-  const char* check = "123456789";  // the standard CRC-32C check value
-  EXPECT_EQ(internal::Crc32cPortable(check, 9), 0xE3069283u);
+  const char* check = "123456789";  // the standard CRC check input
+  EXPECT_EQ(internal::CrcTable<internal::kCrc32cPoly>(check, 9, 0),
+            0xE3069283u);
   EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926u);
   if (!internal::Crc32cHardwareAvailable()) {
     GTEST_SKIP() << "no CRC32C instruction on this CPU";
   }
@@ -253,7 +322,7 @@ TEST(RingCrc32cTest, HardwareAndPortablePathsAgree) {
     const uint32_t seed = static_cast<uint32_t>(rng());
     const uint8_t* p = buf.data() + offset;
     ASSERT_EQ(internal::Crc32cHardware(p, len, seed),
-              internal::Crc32cPortable(p, len, seed))
+              internal::CrcTable<internal::kCrc32cPoly>(p, len, seed))
         << "len " << len << " offset " << offset;
   }
 }
